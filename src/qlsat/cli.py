@@ -234,15 +234,17 @@ def _load_instances(args: argparse.Namespace) -> list[tuple[dict, SatProblem | N
     items: list[tuple[dict, SatProblem | None]] = []
     if args.instances:
         for path in args.instances:
+            sidecar = Path(path).with_suffix(".json")
             try:
                 problem = sat_mod.from_dimacs(Path(path).read_text())
+                meta = json.loads(sidecar.read_text()) if sidecar.exists() else None
+                if meta is not None and not isinstance(meta, dict):
+                    raise ValueError(f"sidecar {sidecar} does not hold a JSON object")
             except (OSError, ValueError) as exc:
                 items.append(({"source": path, "error": f"{type(exc).__name__}: {exc}"}, None))
                 continue
             desc = {"source": path, "n": problem.n, "k": problem.k, "m": problem.m}
-            sidecar = Path(path).with_suffix(".json")
-            if sidecar.exists():
-                meta = json.loads(sidecar.read_text())
+            if meta is not None:
                 desc["kind"] = meta.get("kind")
                 desc["seed"] = meta.get("seed")
             items.append((desc, problem))

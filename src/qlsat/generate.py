@@ -169,7 +169,11 @@ def _rng_for(seed: int, attempt: int | None = None) -> np.random.Generator:
 def _draw_planted(spec: EnsembleSpec, rng: np.random.Generator) -> int:
     if spec.planted is not None:
         return spec.planted
-    return int(rng.integers(0, 1 << spec.n))
+    if spec.n < 64:
+        return int(rng.integers(0, 1 << spec.n))
+    # rng.integers stops at int64: draw wide assignments as random bytes
+    wide = int.from_bytes(rng.bytes((spec.n + 7) // 8), "little")
+    return wide & ((1 << spec.n) - 1)
 
 
 def gen_random(spec: EnsembleSpec, attempt: int | None = None) -> GeneratedInstance:

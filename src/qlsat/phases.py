@@ -107,11 +107,11 @@ def neighborhood_signs(n_better: np.ndarray, j: int, n_start: int) -> np.ndarray
     """Phase vector for step j of the neighborhood policy."""
     if j < 1:
         raise ValueError("steps are numbered from 1")
-    nb = np.asarray(n_better)
+    d = n_start - np.asarray(n_better)
     if j == 1:
-        invert = np.isin(np.abs(n_start - nb) % 4, (2, 3))
+        invert = np.abs(d) % 4 >= 2
         return np.where(invert, -1.0, 1.0)
-    keep = np.isin(n_start - nb, (j - 1, j - 2))
+    keep = (d == j - 1) | (d == j - 2)
     return np.where(keep, 1.0, -1.0)
 
 

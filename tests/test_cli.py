@@ -174,6 +174,55 @@ def test_run_keeps_going_past_a_bad_file(tmp_path, capsys):
     assert records[1]["result"]["best_cost"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_run_keeps_going_past_a_malformed_sidecar(tmp_path, capsys):
+    code, _, _ = run_cli(
+        capsys,
+        "generate", "--out-dir", str(tmp_path), "--ensemble", "prespecified-solution",
+        "--n", "8", "--m", "24", "--trials", "3", "--seed", "5",
+    )
+    assert code == 0
+    (tmp_path / "inst-00001.json").write_text("{not json\n")
+    paths = sorted(str(p) for p in tmp_path.glob("*.cnf"))
+    code, out, _ = run_cli(capsys, "run", *paths)
+    assert code == 0
+    records = jsonl(out)
+    assert [r["instance"]["source"] for r in records] == paths
+    assert "JSONDecodeError" in records[1]["error"] and "result" not in records[1]
+    for record in (records[0], records[2]):
+        assert "error" not in record
+        assert record["instance"]["kind"] == "prespecified-solution"
+        assert record["result"]["steps"] >= 1
+
+
+def test_run_compact_engine_at_the_readme_size(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "run", "--engine", "compact", "--n", "200", "--policy", "neighborhood",
+        "--histograms",
+    )
+    assert code == 0
+    (record,) = jsonl(out)
+    assert record["instance"]["n"] == 200
+    assert record["instance"]["planted"] >= 0
+    result = record["result"]
+    assert result["steps"] == 101
+    assert len(result["histograms"]) == 102
+    assert all(0.0 <= p <= 1.0 for p in result["p_soln_by_step"])
+
+
+def test_generate_wide_planted_instance(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "generate", "--out-dir", str(tmp_path), "--ensemble", "max-constrained-1sat",
+        "--n", "80",
+    )
+    assert code == 0
+    (record,) = jsonl(out)
+    assert record["n"] == 80 and record["m"] == 80
+    meta = json.loads((tmp_path / "inst-00000.json").read_text())
+    assert 0 <= meta["planted"] < 1 << 80
+
+
 def test_run_compact_engine_inline(capsys):
     code, out, _ = run_cli(
         capsys,

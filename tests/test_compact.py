@@ -6,6 +6,8 @@ from math import comb
 import numpy as np
 import pytest
 
+import qlsat.compact
+from oracles import exact_scaled_shell_transform
 from qlsat.compact import (
     CompactState,
     build_d_max,
@@ -22,6 +24,8 @@ from qlsat.generate import EnsembleSpec, generate
 from qlsat.mixer import MixerSpec, dense_u, u_coefficients
 from qlsat.phases import KIND_NEIGHBORHOOD, KIND_SIMPLE, PolicySpec
 from qlsat.sat import SatProblem, clause_from_literals, ones
+
+NEIGHBORHOOD = PolicySpec(KIND_NEIGHBORHOOD)
 
 
 def planted_zero_1sat(n: int, m: int) -> SatProblem:
@@ -100,7 +104,8 @@ def test_shell_matrix_with_explicit_coefficients():
             assert v[b, c] == pytest.approx(np.sum(dense[r, pc == c]), abs=1e-10)
 
 
-@pytest.mark.parametrize("n", [10, 100, 600])
+# comb(1030, 515) exceeds the float range, where the exact build stops
+@pytest.mark.parametrize("n", [10, 100, 600, 1030])
 def test_scaled_shell_matrix_is_orthogonal(n):
     v = build_v_scaled(n)
     np.testing.assert_allclose(v @ v.T, np.eye(n + 1), atol=1e-12)
@@ -227,3 +232,47 @@ def test_compact_weights_match_binomial_shells():
     weights = shell_weights(10, 6)
     for c in range(7):
         assert weights[c] == comb(6, c) * 16
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 51, 100, 301, 600])
+def test_float_shell_transform_matches_the_exact_build(m):
+    built = qlsat.compact._scaled_shell_transform(m)
+    np.testing.assert_allclose(built, exact_scaled_shell_transform(m), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [100, 300, 600])
+def test_compact_run_matches_the_exact_transform_engine(n, monkeypatch):
+    result = compact_run(n, NEIGHBORHOOD)
+    monkeypatch.setattr(qlsat.compact, "_scaled_shell_transform", exact_scaled_shell_transform)
+    exact = compact_run(n, NEIGHBORHOOD)
+    np.testing.assert_allclose(result.p_soln_by_step, exact.p_soln_by_step, rtol=0, atol=1e-12)
+    assert result.best_j == exact.best_j
+
+
+def test_shell_transform_past_the_normal_float_range():
+    # the smallest starts, 2**-1050, are subnormal; rows must still be unit vectors
+    t = qlsat.compact._scaled_shell_transform(2100)
+    np.testing.assert_allclose(np.einsum("bc,bc->b", t, t), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(t, t.T, rtol=0, atol=1e-14)
+    assert t[1050, 0] == pytest.approx(math.sqrt(comb(2100, 1050) / 2**2100), rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [1030, 2000])
+def test_compact_run_in_the_thousands(n):
+    result = compact_run(n, NEIGHBORHOOD, record_histograms=True)
+    assert result.steps == n // 2 + 1
+    assert all(0.0 <= p <= 1.0 for p in result.p_soln_by_step)
+    drift = [abs(hist.sum() - 1.0) for hist in result.histograms]
+    assert max(drift) <= 1e-10
+
+
+def test_recorded_states_refuse_weights_beyond_float_range():
+    with pytest.raises(ValueError, match="shell weights overflow"):
+        compact_run(1030, NEIGHBORHOOD, j_max=1, record_states=True)
+
+
+def test_under_constrained_run_keeps_the_uniform_solution_probability():
+    # m <= n/2 makes the mixing matrix exactly the identity
+    result = compact_run(600, NEIGHBORHOOD, m=300)
+    assert result.p_soln_by_step == [2.0**-300] * (result.steps + 1)
+    assert result.best_j == 1

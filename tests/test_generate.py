@@ -99,6 +99,38 @@ def test_max_constrained_conflicts_count_distance_to_planted():
         assert count_conflicts(inst.problem, s) == hamming(s, 0b1011001)
 
 
+@pytest.mark.parametrize("n", [64, 80, 200])
+def test_wide_planted_draws(n):
+    draws = []
+    for seed in range(3):
+        inst = generate(EnsembleSpec(n=n, k=1, m=n, kind="max-constrained-1sat", seed=seed))
+        assert 0 <= inst.planted < 1 << n
+        assert count_conflicts(inst.problem, inst.planted) == 0
+        assert inst == generate(inst.spec)
+        draws.append(inst.planted)
+    assert len(set(draws)) == 3
+    assert max(draws).bit_length() > 63
+
+
+def test_wide_prespecified_solution_satisfies_instance():
+    inst = gen_prespecified(EnsembleSpec(n=80, k=3, m=320, kind="prespecified-solution", seed=4))
+    assert 0 <= inst.planted < 1 << 80
+    assert count_conflicts(inst.problem, inst.planted) == 0
+
+
+def test_narrow_planted_draws_are_unchanged():
+    # values pinned from the single-integer draw that every n < 64 still uses
+    def planted(n, seed):
+        return generate(EnsembleSpec(n=n, k=1, m=n, kind="max-constrained-1sat", seed=seed)).planted
+
+    assert [planted(10, s) for s in range(3)] == [871, 484, 857]
+    assert [planted(63, s) for s in range(3)] == [
+        5874934615388537135,
+        4720721261117928063,
+        2412946043537042528,
+    ]
+
+
 def test_random_soluble_delivers_a_solution_and_respects_budget():
     spec = EnsembleSpec(n=9, k=3, m=36, kind="random-soluble", seed=11)
     inst = gen_random_soluble(spec, count_solutions=True)

@@ -71,6 +71,20 @@ def test_neighborhood_later_steps_keep_a_moving_window(j):
         assert signs[v] == (1.0 if keep else -1.0)
 
 
+def test_neighborhood_signs_match_the_set_membership_rule():
+    nb = np.arange(13)
+    for n_start in range(13):
+        first = np.isin(np.abs(n_start - nb) % 4, (2, 3))
+        np.testing.assert_array_equal(
+            neighborhood_signs(nb, 1, n_start), np.where(first, -1.0, 1.0)
+        )
+        for j in range(2, n_start + 2):
+            keep = np.isin(n_start - nb, (j - 1, j - 2))
+            np.testing.assert_array_equal(
+                neighborhood_signs(nb, j, n_start), np.where(keep, 1.0, -1.0)
+            )
+
+
 def test_neighborhood_rejects_step_zero():
     with pytest.raises(ValueError):
         neighborhood_signs(np.array([0]), 0, 3)
