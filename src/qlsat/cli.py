@@ -241,7 +241,9 @@ def _load_instances(args: argparse.Namespace) -> list[tuple[dict, SatProblem | N
                 if meta is not None and not isinstance(meta, dict):
                     raise ValueError(f"sidecar {sidecar} does not hold a JSON object")
             except (OSError, ValueError) as exc:
-                items.append(({"source": path, "error": f"{type(exc).__name__}: {exc}"}, None))
+                where = f" in {sidecar}" if isinstance(exc, json.JSONDecodeError) else ""
+                error = f"{type(exc).__name__}{where}: {exc}"
+                items.append(({"source": path, "error": error}, None))
                 continue
             desc = {"source": path, "n": problem.n, "k": problem.k, "m": problem.m}
             if meta is not None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import mixer as mixer_mod
 from .mixer import MixerSpec
-from .phases import PolicySpec, phase_schedule
+from .phases import PolicySpec, policy_table, resolve_policy, sign_tables
 from .sat import DEFAULT_FULL_LIMIT, SatProblem, check_full_capacity, conflict_vector
 
 
@@ -55,8 +55,13 @@ def init_uniform(n: int, limit: int | None = DEFAULT_FULL_LIMIT) -> np.ndarray:
 
 
 def step(x: np.ndarray, signs: np.ndarray, spec: MixerSpec) -> np.ndarray:
-    """One evolution step: phase flips then distance-based mixing."""
-    return mixer_mod.apply_u(spec, signs * x)
+    """One evolution step: phase flips then distance-based mixing.
+
+    The phase flips are applied to x in place; the mixed state is returned.
+    """
+    x *= signs
+    del signs  # a gathered phase vector is freed before the transform runs
+    return mixer_mod.apply_u(spec, x)
 
 
 def p_soln(x: np.ndarray, solutions: np.ndarray) -> float:
@@ -98,16 +103,17 @@ def run_trial(
     spec = mixer if mixer is not None else MixerSpec(problem.n)
     if spec.n != problem.n:
         raise ValueError(f"mixer is for n={spec.n}, problem has n={problem.n}")
-    schedule = phase_schedule(problem, policy, j_max=j_max, limit=limit)
+    resolved = resolve_policy(policy, problem.n, problem.m, problem.k)
     conflicts = conflict_vector(problem, limit)
+    table = policy_table(resolved, conflicts)
     solutions = np.flatnonzero(conflicts == 0)
 
     x = init_uniform(problem.n, limit)
     probs = [p_soln(x, solutions)]
     hists = [conflict_histogram(x, conflicts, problem.m)] if record_histograms else None
     states = [x.copy()] if record_states else None
-    for signs in schedule:
-        x = step(x, signs, spec)
+    for signs in sign_tables(resolved, problem.n, problem.m, j_max):
+        x = step(x, signs[table], spec)
         probs.append(p_soln(x, solutions))
         if record_histograms:
             hists.append(conflict_histogram(x, conflicts, problem.m))

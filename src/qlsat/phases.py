@@ -18,11 +18,16 @@ amplitude before mixing.  Two policies are provided:
   odd n runs the same literal rule.
 
 Phases are functions of the instance and the step index only, never of
-the evolving amplitudes.
+the evolving amplitudes.  Signs are formed per step, when the step runs:
+the rule is evaluated in int64 on every value a count can take (0..m
+conflicts or 0..n better neighbors) and the result is gathered by each
+assignment's count, so no schedule of 2**n-entry vectors is held and a
+narrow unsigned count table never enters the rule's arithmetic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
@@ -123,6 +128,32 @@ def signs_for_counts(
     return neighborhood_signs(n_better, j, policy.n_start)
 
 
+def policy_table(policy: ResolvedPolicy, conflicts: np.ndarray) -> np.ndarray:
+    """Per-assignment counts the policy's signs depend on.
+
+    The conflict table itself for simple-threshold, its n_better table for
+    neighborhood.
+    """
+    if policy.kind == KIND_SIMPLE:
+        return conflicts
+    return n_better_vector(conflicts)
+
+
+def sign_tables(
+    policy: ResolvedPolicy, n: int, m: int, j_max: int | None = None
+) -> Iterator[np.ndarray]:
+    """Yield, for steps 1..min(j_max, cap), the sign of every count value.
+
+    Entry v of step j's table is the sign of an assignment whose count
+    (conflicts, 0..m, or better neighbors, 0..n) is v; indexing it by
+    ``policy_table`` gives that step's phase vector.
+    """
+    steps = policy.max_steps if j_max is None else min(j_max, policy.max_steps)
+    values = np.arange((m if policy.kind == KIND_SIMPLE else n) + 1, dtype=np.int64)
+    for j in range(1, steps + 1):
+        yield signs_for_counts(policy, values, values, j)
+
+
 def phase_schedule(
     problem: SatProblem,
     spec: PolicySpec,
@@ -131,9 +162,5 @@ def phase_schedule(
 ) -> list[np.ndarray]:
     """Phase vectors for steps 1..min(j_max, cap) over all 2**n assignments."""
     policy = resolve_policy(spec, problem.n, problem.m, problem.k)
-    steps = policy.max_steps if j_max is None else min(j_max, policy.max_steps)
-    conflicts = conflict_vector(problem, limit)
-    n_better = None
-    if policy.kind == KIND_NEIGHBORHOOD:
-        n_better = n_better_vector(problem, limit)
-    return [signs_for_counts(policy, conflicts, n_better, j) for j in range(1, steps + 1)]
+    table = policy_table(policy, conflict_vector(problem, limit))
+    return [signs[table] for signs in sign_tables(policy, problem.n, problem.m, j_max)]

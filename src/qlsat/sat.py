@@ -104,14 +104,25 @@ def conflict_vector(
 ) -> np.ndarray:
     """Conflict counts for all 2**n assignments, indexed by assignment.
 
-    Returns an int64 vector of length 2**n.  Raises CapacityError when n
-    exceeds ``limit`` (pass None to disable the guard).
+    Returns a vector of length 2**n in the narrowest unsigned dtype that
+    holds m.  Each clause adds one to the strided sub-tensor of the
+    ``(2,) * n`` view that fixes its k bits (axis n-1-i holds bit i), so
+    no index vector is built.  Raises CapacityError when n exceeds
+    ``limit`` (pass None to disable the guard).
     """
     check_full_capacity(problem.n, limit)
-    idx = np.arange(1 << problem.n, dtype=np.int64)
-    counts = np.zeros(1 << problem.n, dtype=np.int64)
+    n = problem.n
+    counts = np.zeros(1 << n, dtype=np.min_scalar_type(problem.m))
+    cube = counts.reshape((2,) * n)
+    free = [slice(None)] * n
     for c in problem.clauses:
-        counts += (idx & c.mask) == c.value
+        fixed = free.copy()
+        mask = c.mask
+        while mask:
+            i = (mask & -mask).bit_length() - 1
+            fixed[n - 1 - i] = (c.value >> i) & 1
+            mask &= mask - 1
+        cube[tuple(fixed)] += 1
     return counts
 
 
@@ -128,15 +139,23 @@ def n_better(problem: SatProblem, s: int) -> int:
     )
 
 
-def n_better_vector(
-    problem: SatProblem, limit: int | None = DEFAULT_FULL_LIMIT
-) -> np.ndarray:
-    """n_better for all 2**n assignments, indexed by assignment."""
-    counts = conflict_vector(problem, limit)
-    idx = np.arange(1 << problem.n, dtype=np.int64)
-    better = np.zeros(1 << problem.n, dtype=np.int64)
-    for i in range(problem.n):
-        better += counts[idx ^ (1 << i)] < counts
+def n_better_vector(counts: np.ndarray) -> np.ndarray:
+    """n_better for all 2**n assignments, from their conflict table.
+
+    The flip of bit i pairs each entry of ``counts.reshape(-1, 2, 2**i)``
+    with the entry the axis-reversed view ``[:, ::-1, :]`` puts in its
+    place, so no neighbor index is gathered.  The result uses the
+    narrowest unsigned dtype that holds n.
+    """
+    size = len(counts)
+    if size == 0 or size & (size - 1):
+        raise ValueError("conflict table length must be a power of two")
+    n = size.bit_length() - 1
+    better = np.zeros(size, dtype=np.min_scalar_type(n))
+    for i in range(n):
+        pairs = counts.reshape(-1, 2, 1 << i)
+        view = better.reshape(-1, 2, 1 << i)
+        view += pairs[:, ::-1, :] < pairs
     return better
 
 

@@ -188,6 +188,7 @@ def test_run_keeps_going_past_a_malformed_sidecar(tmp_path, capsys):
     records = jsonl(out)
     assert [r["instance"]["source"] for r in records] == paths
     assert "JSONDecodeError" in records[1]["error"] and "result" not in records[1]
+    assert "inst-00001.json" in records[1]["error"]
     for record in (records[0], records[2]):
         assert "error" not in record
         assert record["instance"]["kind"] == "prespecified-solution"

@@ -1,9 +1,11 @@
 """Full-state evolution: worked examples, norm drift, best-step selection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import oracle_trial
 
 from qlsat.engine import (
     RunResult,
@@ -171,3 +173,29 @@ def test_soluble_ensemble_amplified_well_above_uniform():
         finals.append(result.p_soln_by_step[5])
     mean_p = float(np.mean(finals))
     assert 0.003 < mean_p < 0.03
+
+
+@pytest.mark.parametrize("kind", [KIND_SIMPLE, KIND_NEIGHBORHOOD])
+@pytest.mark.parametrize("n", [12, 14])
+def test_run_trial_matches_the_oracle_loop(kind, n):
+    spec = EnsembleSpec(n=n, k=3, m=4 * n, kind="random-soluble", seed=700 + n)
+    problem = generate(spec).problem
+    probs, best_j = oracle_trial(problem, PolicySpec(kind))
+    result = run_trial(problem, PolicySpec(kind))
+    np.testing.assert_allclose(result.p_soln_by_step, probs, rtol=0, atol=1e-12)
+    assert result.best_j == best_j
+
+
+@pytest.mark.parametrize("kind", [KIND_SIMPLE, KIND_NEIGHBORHOOD])
+def test_run_trial_peak_memory_is_at_most_six_state_vectors(kind):
+    n = 16
+    problem = generate(EnsembleSpec(n=n, k=3, m=4 * n, kind="random", seed=16)).problem
+    run_trial(problem, PolicySpec(kind))  # warm-up: lazily built shared tables
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_trial(problem, PolicySpec(kind))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / (8 << n) <= 6

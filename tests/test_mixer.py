@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import butterfly_fwht
 
 from qlsat.mixer import (
     DEFAULT_DENSE_LIMIT,
@@ -111,6 +112,29 @@ def test_fast_transform_matches_dense_matrix(n):
     np.testing.assert_allclose(fwht(fwht(x)), (1 << n) * x, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 13, 17])
+def test_radix_transform_matches_the_butterfly(n):
+    # Every output of either algorithm is a signed sum of all 2**n inputs;
+    # the butterfly rounds once per level (n roundings), a radix-16 pass at
+    # most 15 times, so both stay within 4 * n * eps * sum(|x|) of the
+    # exact sum and within 5 * n * eps * sum(|x|) of each other.
+    x = np.random.default_rng(7 + n).standard_normal(1 << n)
+    tol = 5 * n * np.finfo(np.float64).eps * np.abs(x).sum()
+    expected = butterfly_fwht(x)
+    assert np.abs(fwht(x) - expected).max() <= tol
+    y = x.copy()
+    assert fwht(y, inplace=True) is y
+    assert np.abs(y - expected).max() <= tol
+
+
+def test_inplace_transform_of_a_strided_view_returns_the_transform():
+    base = np.random.default_rng(3).standard_normal(32)
+    view = base[::2]
+    expected = fwht(view.copy())
+    np.testing.assert_array_equal(fwht(view, inplace=True), expected)
+    np.testing.assert_allclose(expected, butterfly_fwht(view), rtol=0, atol=1e-14)
+
+
 def test_fast_transform_inplace_flag():
     x = np.ones(8)
     out = fwht(x)
@@ -145,6 +169,14 @@ def test_dense_operator_values_by_distance():
     for r in range(16):
         for s in range(16):
             assert u[r, s] == coef[pc[r ^ s]]
+
+
+def test_scaled_tau_is_shared_and_read_only():
+    spec = MixerSpec(5, alpha=2)
+    np.testing.assert_array_equal(spec.scaled_tau, spec.tau_vector()[popcounts(5)] / 32)
+    assert spec.scaled_tau is spec.scaled_tau
+    with pytest.raises(ValueError):
+        spec.scaled_tau[0] = 1.0
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import index_conflict_vector, oracle_schedule, oracle_trial
 
+from qlsat.engine import run_trial
+from qlsat.generate import EnsembleSpec, generate
 from qlsat.phases import (
     KIND_NEIGHBORHOOD,
     KIND_SIMPLE,
@@ -17,7 +20,13 @@ from qlsat.phases import (
     simple_signs,
     step_cap,
 )
-from qlsat.sat import SatProblem, clause_from_literals, conflict_vector
+from qlsat.sat import (
+    ConflictPattern,
+    SatProblem,
+    clause_from_literals,
+    conflict_vector,
+    count_conflicts,
+)
 
 
 def test_policy_spec_validation():
@@ -160,3 +169,47 @@ def test_phase_schedule_matches_conflict_counts():
     np.testing.assert_array_equal(sched[0], [1, 1, 1, -1])
     # step 2 threshold 0: everything with a conflict flips
     np.testing.assert_array_equal(sched[1], [1, -1, -1, -1])
+
+
+def assert_schedules_equal(problem, spec):
+    got = phase_schedule(problem, spec)
+    want = oracle_schedule(problem, spec)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_signs_over_a_table_wider_than_uint8():
+    # 286 clauses all falsified by the all-false assignment: its count
+    # does not fit uint8, and the simple threshold starts at 286 / 8.
+    masks = [m for m in range(1 << 13) if m.bit_count() == 3]
+    problem = SatProblem(n=13, k=3, clauses=tuple(ConflictPattern(m, 0) for m in masks))
+    conflicts = conflict_vector(problem)
+    assert conflicts.dtype == np.uint16
+    assert conflicts[0] == count_conflicts(problem, 0) == 286
+    np.testing.assert_array_equal(conflicts, index_conflict_vector(problem))
+    assert_schedules_equal(problem, PolicySpec(KIND_SIMPLE))
+    random = generate(EnsembleSpec(n=9, k=3, m=300, kind="random", seed=4)).problem
+    assert_schedules_equal(random, PolicySpec(KIND_SIMPLE))
+
+
+def test_neighborhood_start_far_above_n():
+    # n_start - n_better on a uint8 table would wrap (or refuse 300)
+    problem = generate(EnsembleSpec(n=10, k=3, m=40, kind="random-soluble", seed=2)).problem
+    spec = PolicySpec(KIND_NEIGHBORHOOD, n_start=300)
+    assert_schedules_equal(problem, spec)
+    probs, best_j = oracle_trial(problem, spec)
+    result = run_trial(problem, spec)
+    np.testing.assert_allclose(result.p_soln_by_step, probs, rtol=0, atol=1e-12)
+    assert result.best_j == best_j
+
+
+def test_simple_threshold_with_a_large_denominator():
+    # conflicts * 10**11 overflows uint8 and uint16 tables
+    problem = generate(EnsembleSpec(n=10, k=3, m=40, kind="random-soluble", seed=3)).problem
+    spec = PolicySpec(KIND_SIMPLE, c_start=Fraction(10**12 + 1, 10**11))
+    assert_schedules_equal(problem, spec)
+    probs, best_j = oracle_trial(problem, spec)
+    result = run_trial(problem, spec)
+    np.testing.assert_allclose(result.p_soln_by_step, probs, rtol=0, atol=1e-12)
+    assert result.best_j == best_j

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import index_conflict_vector, index_n_better_vector
 
 from qlsat.sat import (
     CapacityError,
@@ -115,9 +116,29 @@ def test_conflict_vector_matches_per_assignment_count(n, k, m, seed):
 @pytest.mark.parametrize("seed", [3, 4])
 def test_better_neighbor_counts(seed):
     problem = random_problem(6, 3, 12, seed)
-    vec = n_better_vector(problem)
+    vec = n_better_vector(conflict_vector(problem))
     for s in range(1 << 6):
         assert vec[s] == n_better(problem, s)
+
+
+@pytest.mark.parametrize("n,k,m", [(1, 1, 1), (5, 2, 20), (10, 3, 40), (13, 3, 52), (16, 3, 64)])
+def test_strided_tables_equal_the_index_vector_builds(n, k, m):
+    problem = random_problem(n, k, m, seed=n)
+    conflicts = conflict_vector(problem)
+    assert conflicts.dtype == np.uint8
+    np.testing.assert_array_equal(conflicts, index_conflict_vector(problem))
+    better = n_better_vector(conflicts)
+    assert better.dtype == np.uint8
+    np.testing.assert_array_equal(better, index_n_better_vector(problem))
+
+
+def test_conflict_table_widens_past_255_clauses():
+    problem = random_problem(9, 3, 300, seed=5)
+    conflicts = conflict_vector(problem)
+    assert conflicts.dtype == np.uint16
+    assert conflicts.max() > 1
+    for s in range(1 << 9):
+        assert conflicts[s] == count_conflicts(problem, s)
 
 
 def test_capacity_guard():
