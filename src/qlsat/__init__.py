@@ -8,8 +8,8 @@ Hamming-distance kernel.  A shell-space engine reproduces the planted
 generation, trial runs, parameter sweeps, and self-verification.
 """
 
-from .compact import CompactState, build_v_max, build_v_scaled, build_w_max, compact_run
-from .engine import RunResult, measure_sample, run_trial
+from .compact import CompactState, build_v_scaled, compact_run
+from .engine import RunResult, run_trial
 from .generate import (
     EnsembleSpec,
     GeneratedInstance,
@@ -45,15 +45,12 @@ __all__ = [
     "apply_u",
     "backtrack_count",
     "backtrack_solve",
-    "build_v_max",
     "build_v_scaled",
-    "build_w_max",
     "compact_run",
     "dense_u",
     "from_dimacs",
     "generate",
     "instance_seed_sequence",
-    "measure_sample",
     "resolve_policy",
     "run_trial",
     "to_dimacs",

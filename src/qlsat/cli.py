@@ -32,16 +32,13 @@ import numpy as np
 
 from . import compact as compact_mod
 from . import engine as engine_mod
-from . import mixer as mixer_mod
 from . import phases as phases_mod
 from . import sat as sat_mod
+from .checks import DENSE_LIMIT, run_checks
 from .generate import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
-    backtrack_count,
     backtrack_solve,
-    gen_max_constrained_1sat,
-    gen_random,
     generate as generate_instance,
     instance_metadata,
     instance_seed_sequence,
@@ -112,8 +109,36 @@ def _policy_config(args: argparse.Namespace) -> dict:
     }
 
 
-def _mixer_for(n: int, alpha: int | None) -> MixerSpec:
-    return MixerSpec(n) if alpha is None else MixerSpec(n, alpha)
+def _trial(
+    args: argparse.Namespace,
+    policy: PolicySpec,
+    n: int,
+    m: int,
+    problem: SatProblem | None = None,
+    record_histograms: bool = False,
+) -> engine_mod.RunResult:
+    """One trial on the engine ``--engine`` names; the compact one needs no problem."""
+    if args.engine == "compact":
+        return compact_mod.compact_run(
+            n, policy, j_max=args.j_max, m=m, record_histograms=record_histograms
+        )
+    return engine_mod.run_trial(
+        problem,
+        policy,
+        mixer=MixerSpec(n, args.alpha),
+        j_max=args.j_max,
+        record_histograms=record_histograms,
+        limit=args.full_limit,
+    )
+
+
+def _check_compact_flags(args: argparse.Namespace) -> None:
+    """Refuse full-engine-only flags under --engine compact, and fix k = 1."""
+    if args.alpha is not None:
+        raise _UsageError("--alpha only applies to the full engine")
+    if args.k not in (None, 1):
+        raise _UsageError("the compact engine is 1-SAT only")
+    args.k = 1
 
 
 # --- record emission ----------------------------------------------------------
@@ -276,23 +301,7 @@ def _run_one(desc_problem, args, config) -> dict:
         record["error"] = desc.pop("error")
         return record
     try:
-        if args.engine == "compact":
-            result = compact_mod.compact_run(
-                desc["n"],
-                policy,
-                j_max=args.j_max,
-                m=desc["m"],
-                record_histograms=args.histograms,
-            )
-        else:
-            result = engine_mod.run_trial(
-                problem,
-                policy,
-                mixer=_mixer_for(problem.n, args.alpha),
-                j_max=args.j_max,
-                record_histograms=args.histograms,
-                limit=args.full_limit,
-            )
+        result = _trial(args, policy, desc["n"], desc["m"], problem, args.histograms)
     except CapacityError:
         raise
     except Exception as exc:  # per-instance failures stay in the batch
@@ -323,17 +332,13 @@ def _check_run_capacity(args: argparse.Namespace, items) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     if args.engine == "compact":
-        if args.alpha is not None:
-            raise _UsageError("--alpha only applies to the full engine")
+        _check_compact_flags(args)
         if args.instances:
             raise _UsageError("the compact engine runs inline planted 1-SAT only")
         if args.ensemble is None:
             args.ensemble = "max-constrained-1sat"
         if args.ensemble != "max-constrained-1sat":
             raise _UsageError("the compact engine needs --ensemble max-constrained-1sat")
-        if args.k not in (None, 1):
-            raise _UsageError("the compact engine is 1-SAT only")
-        args.k = 1
     elif args.k is None:
         args.k = 3
     config = {
@@ -399,11 +404,8 @@ def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> 
     steps_run = None
     try:
         for i in range(trials):
-            if args.engine == "compact":
-                result = compact_mod.compact_run(
-                    point["n"], policy, j_max=args.j_max, m=point["m"]
-                )
-            else:
+            problem = None
+            if args.engine == "full":
                 spec = EnsembleSpec(
                     n=point["n"],
                     k=args.k,
@@ -412,14 +414,8 @@ def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> 
                     seed=instance_seed_sequence(base, i),
                     planted=args.planted,
                 )
-                inst = generate_instance(spec)
-                result = engine_mod.run_trial(
-                    inst.problem,
-                    policy,
-                    mixer=_mixer_for(point["n"], args.alpha),
-                    j_max=args.j_max,
-                    limit=args.full_limit,
-                )
+                problem = generate_instance(spec).problem
+            result = _trial(args, policy, point["n"], point["m"], problem)
             steps_run = result.steps
             finals.append(result.p_soln_by_step[-1])
             if result.best_j is None:
@@ -452,11 +448,7 @@ def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.engine == "compact":
-        if args.alpha is not None:
-            raise _UsageError("--alpha only applies to the full engine")
-        if args.k not in (None, 1):
-            raise _UsageError("the compact engine is 1-SAT only")
-        args.k = 1
+        _check_compact_flags(args)
     else:
         if args.ensemble is None:
             raise _UsageError("a full-engine sweep needs --ensemble")
@@ -495,128 +487,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 # --- verify --------------------------------------------------------------------
 
-# Reference 4x4 mixing matrix for n=2 at the default split: +1/2 everywhere
-# except -1/2 on the anti-diagonal (assignments at Hamming distance 2).
-_REFERENCE_U2 = np.array(
-    [
-        [0.5, 0.5, 0.5, -0.5],
-        [0.5, 0.5, -0.5, 0.5],
-        [0.5, -0.5, 0.5, 0.5],
-        [-0.5, 0.5, 0.5, 0.5],
-    ]
-)
-
-
-def _verify_checks(alpha: int | None, dense_limit: int):
-    """Yield (name, passed or None for skip, detail) tuples."""
-    rng = np.random.default_rng(np.random.SeedSequence(11))
-
-    worst = 0.0
-    for n in range(2, 7):
-        u = mixer_mod.dense_u(_mixer_for(n, alpha))
-        worst = max(worst, float(np.abs(u.T @ u - np.eye(1 << n)).max()))
-    yield "unitarity", worst < 1e-12, f"max |U^T U - I| = {worst:.2e} over n=2..6 (bound 1e-12)"
-
-    u2 = mixer_mod.dense_u(_mixer_for(2, alpha))
-    dev = float(np.abs(u2 - _REFERENCE_U2).max())
-    yield "mixing-table-n2", dev < 1e-12, f"max entry deviation {dev:.2e} (bound 1e-12)"
-
-    worst = 0.0
-    for n in range(2, dense_limit + 1):
-        spec = _mixer_for(n, alpha)
-        dense = mixer_mod.dense_u(spec, limit=dense_limit)
-        for _ in range(5):
-            x = rng.standard_normal(1 << n)
-            worst = max(worst, float(np.abs(mixer_mod.apply_u(spec, x) - dense @ x).max()))
-    yield "fast-vs-dense", worst < 1e-10, (
-        f"max |fast - dense| = {worst:.2e} over n=2..{dense_limit} (bound 1e-10)"
-    )
-
-    if alpha is None:
-        for n, target in ((8, 0.27), (20, 0.18)):
-            u1 = mixer_mod.u_coefficients(MixerSpec(n))[1]
-            ok = abs(u1 - target) < 5e-3
-            yield f"first-shell-coefficient-n{n}", ok, f"u_1 = {u1:.6f} vs {target} (tol 5e-3)"
-        exact = all(
-            mixer_mod.u_numerators(MixerSpec(n))[1] == 2 * math.comb(n - 1, n // 2)
-            for n in range(2, 31)
-        )
-        yield "first-shell-coefficient-exact", exact, "u_1 = 2*C(n-1, n//2)/2^n for n=2..30"
-
-        ok = True
-        for n in range(2, 21):
-            u = mixer_mod.u_coefficients(MixerSpec(n))
-            for d in range(1, n + 1):
-                if n % 2 == 0:
-                    expect_neg = d % 4 in (2, 3)
-                    ok = ok and ((u[d] < 0) == expect_neg) and (u[d] != 0)
-                elif d % 2 == 0:
-                    ok = ok and abs(u[d]) == 0.0
-                else:
-                    ok = ok and ((u[d] > 0) == (d % 4 == 1))
-        yield "shell-coefficient-signs", ok, "sign pattern by d mod 4 for n=2..20"
-    else:
-        yield "first-shell-coefficient-n8", None, "skipped (custom --alpha)"
-        yield "shell-coefficient-signs", None, "skipped (custom --alpha)"
-
-    worst = 0.0
-    for n, m in ((10, 40), (12, 48)):
-        spec = EnsembleSpec(n=n, k=3, m=m, kind="random", seed=instance_seed_sequence(23, n))
-        problem = gen_random(spec).problem
-        for kind in phases_mod.POLICY_KINDS:
-            result = engine_mod.run_trial(
-                problem, PolicySpec(kind), mixer=_mixer_for(n, alpha), record_states=True
-            )
-            for state in result.states:
-                worst = max(worst, abs(float(np.sum(state**2)) - 1.0))
-    comp = compact_mod.compact_run(300, PolicySpec("neighborhood"), record_states=True)
-    for state in comp.states:
-        worst = max(worst, abs(state.shell_norm() - 1.0))
-    yield "norm-drift", worst < 1e-10, f"max per-step |norm - 1| = {worst:.2e} (bound 1e-10)"
-
-    if alpha is None:
-        worst = 0.0
-        for n in (6, 8, 10):
-            for kind in phases_mod.POLICY_KINDS:
-                spec = EnsembleSpec(n=n, k=1, m=n, kind="max-constrained-1sat", seed=5)
-                problem = gen_max_constrained_1sat(spec).problem
-                full = engine_mod.run_trial(problem, PolicySpec(kind))
-                shell = compact_mod.compact_run(n, PolicySpec(kind))
-                diff = np.abs(
-                    np.array(full.p_soln_by_step) - np.array(shell.p_soln_by_step)
-                ).max()
-                worst = max(worst, float(diff))
-        yield "compact-vs-full", worst < 1e-10, (
-            f"max per-step probability gap {worst:.2e} over n=6,8,10 (bound 1e-10)"
-        )
-
-        ok = True
-        for seed in range(3):
-            spec = EnsembleSpec(n=2, k=1, m=2, kind="max-constrained-1sat", seed=seed)
-            problem = gen_max_constrained_1sat(spec).problem
-            simple = engine_mod.run_trial(problem, PolicySpec("simple-threshold"))
-            nbr = engine_mod.run_trial(problem, PolicySpec("neighborhood"))
-            ok = ok and simple.best_j == 1 and abs(simple.best_cost - 1.0) < 1e-10
-            ok = ok and nbr.best_j == 2 and abs(nbr.best_cost - 2.0) < 1e-10
-        yield "two-variable-example", ok, "costs 1 (simple) and 2 (neighborhood)"
-    else:
-        yield "compact-vs-full", None, "skipped (custom --alpha)"
-        yield "two-variable-example", None, "skipped (custom --alpha)"
-
-    ok = True
-    for seed in range(5):
-        spec = EnsembleSpec(n=6, k=3, m=20, kind="random", seed=1000 + seed)
-        problem = gen_random(spec).problem
-        brute = sum(
-            1 for s in range(1 << 6) if sat_mod.count_conflicts(problem, s) == 0
-        )
-        ok = ok and backtrack_count(problem) == brute
-    yield "backtrack-vs-enumeration", ok, "solution counts match over 5 random n=6 instances"
-
 
 def cmd_verify(args: argparse.Namespace) -> int:
     failed = False
-    for name, passed, detail in _verify_checks(args.alpha, args.dense_limit):
+    for name, passed, detail in run_checks(args.alpha, args.dense_limit):
         if passed is None:
             status = "SKIP"
         elif passed:
@@ -703,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="self-checks")
     p.add_argument("--alpha", type=int, help="inject a non-default mixing split")
     p.add_argument(
-        "--dense-limit", type=int, default=_env_int("DENSE_LIMIT", 8),
+        "--dense-limit", type=int, default=_env_int("DENSE_LIMIT", DENSE_LIMIT),
         help="largest n for dense comparisons",
     )
     p.set_defaults(func=cmd_verify)

@@ -40,9 +40,8 @@ from math import comb
 
 import numpy as np
 
-from .engine import RunResult, select_best
-from .mixer import MixerSpec, kernel_rows, u_numerators
-from .phases import PolicySpec, resolve_policy, signs_for_counts
+from .engine import RunResult, evolve
+from .phases import PolicySpec, resolve_policy, sign_tables
 
 
 @dataclass
@@ -61,58 +60,6 @@ class CompactState:
 def shell_weights(n: int, m: int) -> np.ndarray:
     """Number of assignments in each shell: comb(m, c) * 2**(n-m)."""
     return np.array([float(comb(m, c) << (n - m)) for c in range(m + 1)])
-
-
-def initial_compact(n: int, m: int | None = None) -> CompactState:
-    """Uniform superposition collapsed to shells."""
-    m = n if m is None else m
-    return CompactState(n, m, np.full(m + 1, math.sqrt(2.0**-n)))
-
-
-def build_d_max(n: int) -> np.ndarray:
-    """Transform-side signs: +1 for weights up to n/2, -1 above."""
-    return np.where(np.arange(n + 1) <= n // 2, 1.0, -1.0)
-
-
-def build_w_max(n: int) -> np.ndarray:
-    """Shell transform matrix, W[b, c] = S(n, c, b) / sqrt(2**n).
-
-    Entries are exact integers divided by the exact power of two, so each
-    value is correctly rounded (odd n costs one extra rounding for the
-    residual sqrt(2)).
-    """
-    w = np.empty((n + 1, n + 1))
-    half = 1 << (n // 2)
-    odd = math.sqrt(2.0) if n % 2 else 1.0
-    for c, row in enumerate(kernel_rows(n)):
-        for b in range(n + 1):
-            w[b, c] = (row[b] / half) / odd
-    return w
-
-
-def build_v_max(n: int, u: np.ndarray | None = None) -> np.ndarray:
-    """Shell mixing matrix from the distance-coefficient sum.
-
-    With ``u`` omitted the default-threshold coefficients are used and the
-    whole sum is exact integer arithmetic with a single final division.
-    Passing an explicit coefficient vector falls back to float terms.
-    """
-    pascal = [[comb(r, x) for x in range(r + 1)] for r in range(n + 1)]
-    numerators = None
-    if u is None:
-        numerators = u_numerators(MixerSpec(n))
-    v = np.empty((n + 1, n + 1))
-    for b in range(n + 1):
-        row_b, row_nb = pascal[b], pascal[n - b]
-        for c in range(n + 1):
-            lo = abs(b - c)
-            hi = min(b + c, 2 * n - b - c)
-            acc = 0 if numerators is not None else 0.0
-            for d in range(lo, hi + 1, 2):
-                ways = row_b[(c + b - d) // 2] * row_nb[(c - b + d) // 2]
-                acc += (numerators[d] if numerators is not None else u[d]) * ways
-            v[b, c] = acc / (1 << n) if numerators is not None else acc
-    return v
 
 
 _RESCALE_BITS = 512
@@ -192,11 +139,6 @@ def build_v_scaled(n: int, m: int | None = None) -> np.ndarray:
     return np.eye(m + 1) - 2.0 * (flip @ flip.T)
 
 
-def compact_histogram(state: CompactState) -> np.ndarray:
-    """Probability by conflict count: entry c is w_c * amps[c]**2."""
-    return shell_weights(state.n, state.m) * state.amps**2
-
-
 def compact_run(
     n: int,
     policy: PolicySpec,
@@ -215,13 +157,11 @@ def compact_run(
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     resolved = resolve_policy(policy, n=n, m=m, k=1)
-    steps = resolved.max_steps if j_max is None else min(j_max, resolved.max_steps)
-
-    counts = np.arange(m + 1)
     v = build_v_scaled(n, m)
     # scaled initial state phi_c = sqrt(w_c / 2**n) = sqrt(comb(m,c) / 2**m),
     # the same start vector as column 0 of the shell transform
     phi = np.ldexp(*_start_vector(m))
+    state_of = None
     if record_states:
         # phi = g * psi with g_c = sqrt(w_c) = sqrt(2**n * phi_c**2)
         with np.errstate(over="ignore"):
@@ -229,24 +169,17 @@ def compact_run(
         if not np.isfinite(g).all():
             raise ValueError(f"record_states: shell weights overflow float64 at n={n}")
 
-    probs = [float(phi[0] ** 2)]
-    hists = [phi**2] if record_histograms else None
-    states = [CompactState(n, m, phi / g)] if record_states else None
-    for j in range(1, steps + 1):
-        signs = signs_for_counts(resolved, counts, counts, j)
-        phi = v @ (signs * phi)
-        probs.append(float(phi[0] ** 2))
-        if record_histograms:
-            hists.append(phi**2)
-        if record_states:
-            states.append(CompactState(n, m, phi / g))
+        def state_of(phi: np.ndarray) -> CompactState:
+            return CompactState(n, m, phi / g)
 
-    best_j, best_cost = select_best(probs)
-    return RunResult(
-        engine="compact",
-        p_soln_by_step=probs,
-        best_j=best_j,
-        best_cost=best_cost,
-        histograms=hists,
-        states=states,
+    # shell c has c conflicts and c better neighbors, so its sign is entry c
+    # of the step's sign table
+    return evolve(
+        "compact",
+        phi,
+        (signs[: m + 1] for signs in sign_tables(resolved, n, m, j_max)),
+        lambda phi: v @ phi,
+        lambda phi: float(phi[0] ** 2),
+        histogram_of=np.square if record_histograms else None,
+        state_of=state_of,
     )

@@ -16,6 +16,7 @@ reports the best j, preferring smaller j on ties.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,16 +55,6 @@ def init_uniform(n: int, limit: int | None = DEFAULT_FULL_LIMIT) -> np.ndarray:
     return np.full(size, 1.0 / math.sqrt(size))
 
 
-def step(x: np.ndarray, signs: np.ndarray, spec: MixerSpec) -> np.ndarray:
-    """One evolution step: phase flips then distance-based mixing.
-
-    The phase flips are applied to x in place; the mixed state is returned.
-    """
-    x *= signs
-    del signs  # a gathered phase vector is freed before the transform runs
-    return mixer_mod.apply_u(spec, x)
-
-
 def p_soln(x: np.ndarray, solutions: np.ndarray) -> float:
     """Probability mass on the satisfying assignments."""
     return float(np.sum(x[solutions] ** 2))
@@ -84,6 +75,47 @@ def select_best(p_soln_by_step: list[float]) -> tuple[int | None, float]:
         if cost < best_cost:
             best_j, best_cost = j, cost
     return best_j, best_cost
+
+
+def evolve(
+    engine: str,
+    x: np.ndarray,
+    phases: Iterable[np.ndarray],
+    mix: Callable[[np.ndarray], np.ndarray],
+    p_soln_of: Callable[[np.ndarray], float],
+    histogram_of: Callable[[np.ndarray], np.ndarray] | None = None,
+    state_of: Callable[[np.ndarray], object] | None = None,
+) -> RunResult:
+    """The trial loop both engines run: per step, x = mix(phases_j * x).
+
+    ``x`` is the start state and is multiplied in place, so a readout that
+    keeps the state must copy it.  Each phase vector is dropped before
+    ``mix`` runs, so at most one is alive at a time.  The readouts are
+    taken after every step and once before the first; the histogram and
+    state readouts are recorded only when given.
+    """
+    probs = [p_soln_of(x)]
+    hists = [histogram_of(x)] if histogram_of else None
+    states = [state_of(x)] if state_of else None
+    for signs in phases:
+        x *= signs
+        del signs
+        x = mix(x)
+        probs.append(p_soln_of(x))
+        if histogram_of:
+            hists.append(histogram_of(x))
+        if state_of:
+            states.append(state_of(x))
+
+    best_j, best_cost = select_best(probs)
+    return RunResult(
+        engine=engine,
+        p_soln_by_step=probs,
+        best_j=best_j,
+        best_cost=best_cost,
+        histograms=hists,
+        states=states,
+    )
 
 
 def run_trial(
@@ -108,34 +140,18 @@ def run_trial(
     table = policy_table(resolved, conflicts)
     solutions = np.flatnonzero(conflicts == 0)
 
-    x = init_uniform(problem.n, limit)
-    probs = [p_soln(x, solutions)]
-    hists = [conflict_histogram(x, conflicts, problem.m)] if record_histograms else None
-    states = [x.copy()] if record_states else None
-    for signs in sign_tables(resolved, problem.n, problem.m, j_max):
-        x = step(x, signs[table], spec)
-        probs.append(p_soln(x, solutions))
-        if record_histograms:
-            hists.append(conflict_histogram(x, conflicts, problem.m))
-        if record_states:
-            states.append(x.copy())
-
-    best_j, best_cost = select_best(probs)
-    return RunResult(
-        engine="full",
-        p_soln_by_step=probs,
-        best_j=best_j,
-        best_cost=best_cost,
-        histograms=hists,
-        states=states,
+    # the start state goes straight into the call: a local holding it would
+    # keep one more 2**n vector alive for the whole trial
+    return evolve(
+        "full",
+        init_uniform(problem.n, limit),
+        (signs[table] for signs in sign_tables(resolved, problem.n, problem.m, j_max)),
+        lambda x: mixer_mod.apply_u(spec, x),
+        lambda x: p_soln(x, solutions),
+        histogram_of=(
+            (lambda x: conflict_histogram(x, conflicts, problem.m))
+            if record_histograms
+            else None
+        ),
+        state_of=np.copy if record_states else None,
     )
-
-
-def measure_sample(x: np.ndarray, seed: int) -> int:
-    """Draw one assignment from the squared-amplitude distribution."""
-    weights = np.asarray(x) ** 2
-    total = weights.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"state norm {total} is not within 1e-6 of 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return int(rng.choice(len(weights), p=weights / total))

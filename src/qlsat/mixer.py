@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb
 
 import numpy as np
 
@@ -73,17 +72,6 @@ class MixerSpec:
         tau = np.where(popcounts(self.n) <= self.alpha, scale, -scale)
         tau.setflags(write=False)
         return tau
-
-
-def s_coefficient(n: int, h: int, d: int) -> int:
-    """Exact transform kernel S(n, h, d)."""
-    if not (0 <= h <= n and 0 <= d <= n):
-        raise ValueError(f"need 0 <= h, d <= n, got h={h}, d={d}, n={n}")
-    lo = max(0, h - (n - d))
-    hi = min(d, h)
-    return sum(
-        (-1) ** z * comb(d, z) * comb(n - d, h - z) for z in range(lo, hi + 1)
-    )
 
 
 def kernel_rows(n: int):
@@ -201,15 +189,6 @@ def apply_u(spec: MixerSpec, x: np.ndarray) -> np.ndarray:
     y = fwht(x)
     y *= spec.scaled_tau
     return fwht(y, inplace=True)
-
-
-def dense_w_hat(n: int, limit: int | None = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-    """Dense unnormalized transform matrix, (-1)**|r & s|.  Oracle use only."""
-    if limit is not None and n > limit:
-        raise CapacityError(f"dense matrix needs 4**{n} entries; limit is n <= {limit}")
-    idx = np.arange(1 << n)
-    overlap = popcounts(n)[idx[:, None] & idx[None, :]]
-    return np.where(overlap & 1, -1.0, 1.0)
 
 
 def dense_u(spec: MixerSpec, limit: int | None = DEFAULT_DENSE_LIMIT) -> np.ndarray:

@@ -48,7 +48,6 @@ class PolicySpec:
     kind: str
     c_start: Fraction | None = None
     n_start: int | None = None
-    max_steps: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
@@ -59,8 +58,6 @@ class PolicySpec:
                 raise ValueError("c_start must be non-negative")
         if self.n_start is not None and self.n_start < 0:
             raise ValueError("n_start must be non-negative")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -80,19 +77,14 @@ def step_cap(kind: str, c_start: Fraction | None, n_start: int | None) -> int:
 
 
 def resolve_policy(spec: PolicySpec, n: int, m: int, k: int) -> ResolvedPolicy:
-    """Fill in instance-derived defaults and validate the step cap."""
+    """Fill in instance-derived defaults and the step cap."""
     c_start = n_start = None
     if spec.kind == KIND_SIMPLE:
         c_start = spec.c_start if spec.c_start is not None else Fraction(m, 1 << k)
     else:
         n_start = spec.n_start if spec.n_start is not None else n // 2
     cap = step_cap(spec.kind, c_start, n_start)
-    max_steps = spec.max_steps if spec.max_steps is not None else cap
-    if max_steps > cap:
-        raise ValueError(
-            f"max_steps={max_steps} exceeds the {spec.kind} policy cap of {cap}"
-        )
-    return ResolvedPolicy(spec.kind, max_steps, c_start=c_start, n_start=n_start)
+    return ResolvedPolicy(spec.kind, cap, c_start=c_start, n_start=n_start)
 
 
 def simple_signs(conflicts: np.ndarray, j: int, c_start: Fraction) -> np.ndarray:

@@ -9,7 +9,6 @@ tests single AND/compare operations and keeps instances compact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -20,16 +19,6 @@ DEFAULT_FULL_LIMIT = 26
 
 class CapacityError(Exception):
     """Raised when a dense or full-state operation exceeds its size limit."""
-
-
-def ones(s: int) -> int:
-    """Number of 1-bits in the assignment."""
-    return int(s).bit_count()
-
-
-def hamming(r: int, s: int) -> int:
-    """Hamming distance between two assignments."""
-    return int(r ^ s).bit_count()
 
 
 def check_full_capacity(n: int, limit: int | None = DEFAULT_FULL_LIMIT) -> None:
@@ -95,10 +84,6 @@ def count_conflicts(problem: SatProblem, s: int) -> int:
     return sum(1 for c in problem.clauses if c.conflicts_with(s))
 
 
-def is_solution(problem: SatProblem, s: int) -> bool:
-    return count_conflicts(problem, s) == 0
-
-
 def conflict_vector(
     problem: SatProblem, limit: int | None = DEFAULT_FULL_LIMIT
 ) -> np.ndarray:
@@ -126,19 +111,6 @@ def conflict_vector(
     return counts
 
 
-def avg_conflicts(problem: SatProblem) -> Fraction:
-    """Mean conflict count over all assignments, exactly m / 2**k."""
-    return Fraction(problem.m, 1 << problem.k)
-
-
-def n_better(problem: SatProblem, s: int) -> int:
-    """Number of single-bit-flip neighbors with strictly fewer conflicts."""
-    base = count_conflicts(problem, s)
-    return sum(
-        1 for i in range(problem.n) if count_conflicts(problem, s ^ (1 << i)) < base
-    )
-
-
 def n_better_vector(counts: np.ndarray) -> np.ndarray:
     """n_better for all 2**n assignments, from their conflict table.
 
@@ -157,13 +129,6 @@ def n_better_vector(counts: np.ndarray) -> np.ndarray:
         view = better.reshape(-1, 2, 1 << i)
         view += pairs[:, ::-1, :] < pairs
     return better
-
-
-def solution_indices(
-    problem: SatProblem, limit: int | None = DEFAULT_FULL_LIMIT
-) -> np.ndarray:
-    """Indices of all satisfying assignments (by exhaustive evaluation)."""
-    return np.flatnonzero(conflict_vector(problem, limit) == 0)
 
 
 # --- DIMACS CNF interchange -------------------------------------------------

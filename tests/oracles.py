@@ -7,6 +7,14 @@ the package computes the same by radix-16 matmul passes and strided views.
 ``oracle_schedule`` applies the phase rule to the int64 tables for every
 step up front, and ``oracle_trial`` evolves a trial from these.
 
+``n_better`` counts improving single flips of one assignment by direct
+evaluation; ``s_coefficient`` sums the transform kernel term by term, and
+``dense_w_hat`` writes the transform out as a dense matrix.
+``build_w_max``, ``build_d_max`` and ``build_v_max`` build the raw shell
+transform and shell mixing matrix of maximal 1-SAT from exact integers;
+``initial_compact`` and ``compact_histogram`` give the uniform shell state
+and a state's probability by shell.
+
 ``exact_scaled_shell_transform`` builds the orthogonal shell transform from
 exact big-integer Krawtchouk rows, one correctly rounded square root per
 entry.  It is O(m**2) Python big-integer work and converts integers of
@@ -19,10 +27,102 @@ from math import comb
 
 import numpy as np
 
+from qlsat.compact import CompactState, shell_weights
 from qlsat.engine import select_best
-from qlsat.mixer import MixerSpec, kernel_rows, popcounts
+from qlsat.mixer import DEFAULT_DENSE_LIMIT, MixerSpec, kernel_rows, popcounts, u_numerators
 from qlsat.phases import PolicySpec, resolve_policy, signs_for_counts
-from qlsat.sat import DEFAULT_FULL_LIMIT, SatProblem, check_full_capacity
+from qlsat.sat import (
+    DEFAULT_FULL_LIMIT,
+    CapacityError,
+    SatProblem,
+    check_full_capacity,
+    count_conflicts,
+)
+
+
+def n_better(problem: SatProblem, s: int) -> int:
+    """Number of single-bit-flip neighbors with strictly fewer conflicts."""
+    base = count_conflicts(problem, s)
+    return sum(
+        1 for i in range(problem.n) if count_conflicts(problem, s ^ (1 << i)) < base
+    )
+
+
+def s_coefficient(n: int, h: int, d: int) -> int:
+    """Exact transform kernel S(n, h, d)."""
+    if not (0 <= h <= n and 0 <= d <= n):
+        raise ValueError(f"need 0 <= h, d <= n, got h={h}, d={d}, n={n}")
+    lo = max(0, h - (n - d))
+    hi = min(d, h)
+    return sum(
+        (-1) ** z * comb(d, z) * comb(n - d, h - z) for z in range(lo, hi + 1)
+    )
+
+
+def dense_w_hat(n: int, limit: int | None = DEFAULT_DENSE_LIMIT) -> np.ndarray:
+    """Dense unnormalized transform matrix, (-1)**|r & s|.  Oracle use only."""
+    if limit is not None and n > limit:
+        raise CapacityError(f"dense matrix needs 4**{n} entries; limit is n <= {limit}")
+    idx = np.arange(1 << n)
+    overlap = popcounts(n)[idx[:, None] & idx[None, :]]
+    return np.where(overlap & 1, -1.0, 1.0)
+
+
+def initial_compact(n: int, m: int | None = None) -> CompactState:
+    """Uniform superposition collapsed to shells."""
+    m = n if m is None else m
+    return CompactState(n, m, np.full(m + 1, math.sqrt(2.0**-n)))
+
+
+def build_d_max(n: int) -> np.ndarray:
+    """Transform-side signs: +1 for weights up to n/2, -1 above."""
+    return np.where(np.arange(n + 1) <= n // 2, 1.0, -1.0)
+
+
+def build_w_max(n: int) -> np.ndarray:
+    """Shell transform matrix, W[b, c] = S(n, c, b) / sqrt(2**n).
+
+    Entries are exact integers divided by the exact power of two, so each
+    value is correctly rounded (odd n costs one extra rounding for the
+    residual sqrt(2)).
+    """
+    w = np.empty((n + 1, n + 1))
+    half = 1 << (n // 2)
+    odd = math.sqrt(2.0) if n % 2 else 1.0
+    for c, row in enumerate(kernel_rows(n)):
+        for b in range(n + 1):
+            w[b, c] = (row[b] / half) / odd
+    return w
+
+
+def build_v_max(n: int, u: np.ndarray | None = None) -> np.ndarray:
+    """Shell mixing matrix from the distance-coefficient sum.
+
+    With ``u`` omitted the default-threshold coefficients are used and the
+    whole sum is exact integer arithmetic with a single final division.
+    Passing an explicit coefficient vector falls back to float terms.
+    """
+    pascal = [[comb(r, x) for x in range(r + 1)] for r in range(n + 1)]
+    numerators = None
+    if u is None:
+        numerators = u_numerators(MixerSpec(n))
+    v = np.empty((n + 1, n + 1))
+    for b in range(n + 1):
+        row_b, row_nb = pascal[b], pascal[n - b]
+        for c in range(n + 1):
+            lo = abs(b - c)
+            hi = min(b + c, 2 * n - b - c)
+            acc = 0 if numerators is not None else 0.0
+            for d in range(lo, hi + 1, 2):
+                ways = row_b[(c + b - d) // 2] * row_nb[(c - b + d) // 2]
+                acc += (numerators[d] if numerators is not None else u[d]) * ways
+            v[b, c] = acc / (1 << n) if numerators is not None else acc
+    return v
+
+
+def compact_histogram(state: CompactState) -> np.ndarray:
+    """Probability by conflict count: entry c is w_c * amps[c]**2."""
+    return shell_weights(state.n, state.m) * state.amps**2
 
 
 def _int_ratio_sqrt(num: int, den: int) -> float:

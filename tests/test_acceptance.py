@@ -2,17 +2,19 @@
 
 These run the same entry points a user would call and pin down worked
 examples, reference coefficients, large-instance profiles, cross-engine
-agreement, invariants, and the cost-versus-size trends.  The ensemble
-measurements use frozen seed schedules so every run sees the same
-instances.
+agreement, invariants, and the cost-versus-size trends.  Criteria that
+``qlsat verify`` also reports assert the entries of its check table and
+add only what is stricter than the table: larger n, more vectors, and
+the worked example's state.  The ensemble measurements use frozen seed
+schedules so every run sees the same instances.
 """
 
 import math
-from math import comb
 
 import numpy as np
 import pytest
 
+from qlsat.checks import CHECKS, DENSE_LIMIT
 from qlsat.compact import compact_run
 from qlsat.engine import run_trial
 from qlsat.generate import (
@@ -21,7 +23,7 @@ from qlsat.generate import (
     generate,
     instance_seed_sequence,
 )
-from qlsat.mixer import MixerSpec, apply_u, dense_u, u_coefficients, u_numerators
+from qlsat.mixer import MixerSpec, apply_u, dense_u
 from qlsat.phases import KIND_NEIGHBORHOOD, KIND_SIMPLE, PolicySpec
 from qlsat.sat import SatProblem, clause_from_literals, count_conflicts
 
@@ -31,37 +33,25 @@ def two_negated_units() -> SatProblem:
     return SatProblem(n=2, k=1, clauses=clauses)
 
 
-def test_criterion_1_two_variable_worked_example():
-    problem = two_negated_units()
-    simple = run_trial(problem, PolicySpec(KIND_SIMPLE), record_states=True)
-    np.testing.assert_allclose(simple.states[1], [1.0, 0.0, 0.0, 0.0], atol=1e-10)
-    assert simple.p_soln_by_step[1] == pytest.approx(1.0, abs=1e-10)
-    assert simple.best_j == 1
-    assert simple.best_cost == pytest.approx(1.0, abs=1e-10)
+def assert_check_passes(name: str) -> None:
+    """Every row of the named ``qlsat verify`` check passes at the default split."""
+    rows = list(CHECKS[name](None, DENSE_LIMIT))
+    assert rows and all(passed for _, passed, _ in rows), rows
 
-    nbr = run_trial(problem, PolicySpec(KIND_NEIGHBORHOOD))
-    assert nbr.p_soln_by_step[2] == pytest.approx(1.0, abs=1e-10)
-    assert nbr.best_j == 2
-    assert nbr.best_cost == pytest.approx(2.0, abs=1e-10)
+
+def test_criterion_1_two_variable_worked_example():
+    assert_check_passes("two-variable-example")
+    # one simple-threshold step puts the whole amplitude on the solution
+    simple = run_trial(two_negated_units(), PolicySpec(KIND_SIMPLE), record_states=True)
+    np.testing.assert_allclose(simple.states[1], [1.0, 0.0, 0.0, 0.0], atol=1e-10)
 
 
 def test_criterion_2_four_state_mixing_matrix():
-    expected = 0.5 * np.array(
-        [
-            [1, 1, 1, -1],
-            [1, 1, -1, 1],
-            [1, -1, 1, 1],
-            [-1, 1, 1, 1],
-        ]
-    )
-    np.testing.assert_allclose(dense_u(MixerSpec(2)), expected, atol=1e-12)
+    assert_check_passes("mixing-table-n2")
 
 
 def test_criterion_3_adjacent_shell_coefficient():
-    assert abs(u_coefficients(MixerSpec(8))[1] - 0.27) < 5e-3
-    assert abs(u_coefficients(MixerSpec(20))[1] - 0.18) < 5e-3
-    for n in range(2, 31):
-        assert u_numerators(MixerSpec(n))[1] == 2 * comb(n - 1, n // 2)
+    assert_check_passes("first-shell-coefficient-n8")
 
 
 def test_criterion_4_hundred_variable_concentration():
@@ -93,7 +83,9 @@ def test_criterion_5_near_linear_cost_growth_planted_1sat():
 
 
 def test_criterion_6_dual_route_agreement():
-    # route one: fast transform against the dense matrix product
+    # route one: fast transform against the dense matrix product, with
+    # 15 vectors per size where the check takes 5
+    assert_check_passes("fast-vs-dense")
     rng = np.random.default_rng(606)
     for n in range(2, 9):
         spec = MixerSpec(n)
@@ -103,18 +95,11 @@ def test_criterion_6_dual_route_agreement():
             assert np.max(np.abs(apply_u(spec, x) - dense @ x)) < 1e-10
 
     # route two: shell-space engine against full enumeration
-    for n in (2, 4, 6, 8, 10):
-        spec = EnsembleSpec(n=n, k=1, m=n, kind="max-constrained-1sat", seed=n)
-        problem = generate(spec).problem
-        for kind in (KIND_SIMPLE, KIND_NEIGHBORHOOD):
-            full = run_trial(problem, PolicySpec(kind))
-            shell = compact_run(n, PolicySpec(kind))
-            gap = np.max(
-                np.abs(np.array(full.p_soln_by_step) - np.array(shell.p_soln_by_step))
-            )
-            assert gap < 1e-10
+    assert_check_passes("compact-vs-full")
 
-    # route three: backtracking counter against brute-force enumeration
+    # route three: backtracking counter against brute-force enumeration,
+    # one variable more than the check
+    assert_check_passes("backtrack-vs-enumeration")
     for seed in range(5):
         spec = EnsembleSpec(n=7, k=3, m=21, kind="random", seed=600 + seed)
         problem = generate(spec).problem
@@ -125,34 +110,27 @@ def test_criterion_6_dual_route_agreement():
 
 
 def test_criterion_7_structural_invariants():
-    # the mixing operator is orthogonal at every checked size
-    for n in range(2, 9):
+    # the mixing operator is orthogonal, checked to n = 6 and here to 8
+    assert_check_passes("unitarity")
+    for n in (7, 8):
         u = dense_u(MixerSpec(n))
         assert np.max(np.abs(u.T @ u - np.eye(1 << n))) < 1e-10
 
-    # both engines preserve total probability at every step
-    for n in (10, 14):
-        spec = EnsembleSpec(n=n, k=3, m=4 * n, kind="random-soluble", seed=70 + n)
-        problem = generate(spec).problem
-        for kind in (KIND_SIMPLE, KIND_NEIGHBORHOOD):
-            result = run_trial(problem, PolicySpec(kind), record_states=True)
-            for state in result.states:
-                assert abs(float(np.sum(state**2)) - 1.0) < 1e-10
+    # both engines preserve total probability at every step; the check
+    # covers n = 10 and 12 and the compact neighborhood run
+    assert_check_passes("norm-drift")
+    spec = EnsembleSpec(n=14, k=3, m=56, kind="random-soluble", seed=84)
+    problem = generate(spec).problem
     for kind in (KIND_SIMPLE, KIND_NEIGHBORHOOD):
-        result = compact_run(300, PolicySpec(kind), record_states=True)
+        result = run_trial(problem, PolicySpec(kind), record_states=True)
         for state in result.states:
-            assert abs(state.shell_norm() - 1.0) < 1e-10
+            assert abs(float(np.sum(state**2)) - 1.0) < 1e-10
+    result = compact_run(300, PolicySpec(KIND_SIMPLE), record_states=True)
+    for state in result.states:
+        assert abs(state.shell_norm() - 1.0) < 1e-10
 
     # mixing coefficient signs follow the distance mod 4 pattern
-    for n in range(2, 21):
-        u = u_coefficients(MixerSpec(n))
-        for d in range(1, n + 1):
-            if n % 2 == 0:
-                assert u[d] != 0 and (u[d] < 0) == (d % 4 in (2, 3))
-            elif d % 2 == 0:
-                assert u[d] == 0
-            else:
-                assert (u[d] > 0) == (d % 4 == 1)
+    assert_check_passes("shell-coefficient-signs")
 
 
 def _ensemble_fixed_step_cost(n: int, m: int, kind: str, base_seed: int,

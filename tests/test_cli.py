@@ -311,6 +311,14 @@ def test_verify_flags_an_injected_fault(capsys):
     assert any(line.startswith("SKIP") for line in lines)
 
 
+def test_verify_refuses_a_dense_limit_above_the_library_guard(capsys):
+    # the largest dense matrix must stay within mixer.DEFAULT_DENSE_LIMIT = 12
+    code, out, err = run_cli(capsys, "verify", "--dense-limit", "13")
+    assert code == 3
+    assert "PASS" not in out
+    assert "capacity" in err
+
+
 def test_verify_rejects_impossible_alpha(capsys):
     code, _, err = run_cli(capsys, "verify", "--alpha", "7", "--dense-limit", "5")
     assert code == 1

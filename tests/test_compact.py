@@ -7,23 +7,20 @@ import numpy as np
 import pytest
 
 import qlsat.compact
-from oracles import exact_scaled_shell_transform
-from qlsat.compact import (
-    CompactState,
+from oracles import (
     build_d_max,
     build_v_max,
-    build_v_scaled,
     build_w_max,
     compact_histogram,
-    compact_run,
+    exact_scaled_shell_transform,
     initial_compact,
-    shell_weights,
 )
+from qlsat.compact import CompactState, build_v_scaled, compact_run, shell_weights
 from qlsat.engine import run_trial
 from qlsat.generate import EnsembleSpec, generate
 from qlsat.mixer import MixerSpec, dense_u, u_coefficients
 from qlsat.phases import KIND_NEIGHBORHOOD, KIND_SIMPLE, PolicySpec
-from qlsat.sat import SatProblem, clause_from_literals, ones
+from qlsat.sat import SatProblem, clause_from_literals
 
 NEIGHBORHOOD = PolicySpec(KIND_NEIGHBORHOOD)
 
@@ -84,7 +81,7 @@ def test_reference_two_variable_shell_matrix():
 def test_shell_matrix_aggregates_dense_operator_columns(n):
     # with solution 0, an assignment's conflict count is its bit count
     u = dense_u(MixerSpec(n))
-    pc = np.array([ones(s) for s in range(1 << n)])
+    pc = np.array([s.bit_count() for s in range(1 << n)])
     v = build_v_max(n)
     for b in range(n + 1):
         r = (1 << b) - 1  # representative assignment of weight b
@@ -96,7 +93,7 @@ def test_shell_matrix_with_explicit_coefficients():
     spec = MixerSpec(6, alpha=2)
     u = u_coefficients(spec)
     v = build_v_max(6, u=u)
-    pc = np.array([ones(s) for s in range(64)])
+    pc = np.array([s.bit_count() for s in range(64)])
     dense = dense_u(spec)
     for b in range(7):
         r = (1 << b) - 1
@@ -121,7 +118,7 @@ def test_scaled_matrix_is_the_similarity_transform_of_the_raw_one(n, m):
         # aggregate the dense operator over shells of the m-variable instance
         u = dense_u(MixerSpec(n))
         low = (1 << m) - 1
-        pc = np.array([ones(s & low) for s in range(1 << n)])
+        pc = np.array([(s & low).bit_count() for s in range(1 << n)])
         raw = np.empty((m + 1, m + 1))
         for b in range(m + 1):
             r = (1 << b) - 1

@@ -10,15 +10,14 @@ from oracles import oracle_trial
 from qlsat.engine import (
     RunResult,
     conflict_histogram,
+    evolve,
     init_uniform,
-    measure_sample,
     p_soln,
     run_trial,
     select_best,
-    step,
 )
 from qlsat.generate import EnsembleSpec, generate, instance_seed_sequence
-from qlsat.mixer import MixerSpec, dense_u
+from qlsat.mixer import MixerSpec, apply_u, dense_u
 from qlsat.phases import KIND_NEIGHBORHOOD, KIND_SIMPLE, PolicySpec, phase_schedule
 from qlsat.sat import CapacityError, SatProblem, clause_from_literals, conflict_vector
 
@@ -52,11 +51,18 @@ def test_step_matches_dense_operator():
     problem = generate(EnsembleSpec(n=4, k=2, m=8, kind="random", seed=11)).problem
     spec = MixerSpec(4)
     u = dense_u(spec)
-    x = init_uniform(4)
-    for signs in phase_schedule(problem, PolicySpec(KIND_SIMPLE)):
-        expected = u @ (signs * x)
-        x = step(x, signs, spec)
-        np.testing.assert_allclose(x, expected, atol=1e-12)
+    schedule = phase_schedule(problem, PolicySpec(KIND_SIMPLE))
+    result = evolve(
+        "full",
+        init_uniform(4),
+        schedule,
+        lambda x: apply_u(spec, x),
+        lambda x: 0.0,
+        state_of=np.copy,
+    )
+    assert len(result.states) == len(schedule) + 1
+    for signs, x, nxt in zip(schedule, result.states, result.states[1:]):
+        np.testing.assert_allclose(nxt, u @ (signs * x), atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", [KIND_SIMPLE, KIND_NEIGHBORHOOD])
@@ -137,19 +143,6 @@ def test_capacity_guard():
     assert init_uniform(14, limit=None).size == 1 << 14
 
 
-def test_measure_sample_deterministic_and_validated():
-    x = init_uniform(4)
-    draws = {measure_sample(x, seed=h) for h in range(40)}
-    assert measure_sample(x, seed=7) == measure_sample(x, seed=7)
-    assert len(draws) > 4
-    assert all(0 <= v < 16 for v in draws)
-    concentrated = np.zeros(4)
-    concentrated[2] = 1.0
-    assert measure_sample(concentrated, seed=0) == 2
-    with pytest.raises(ValueError):
-        measure_sample(np.full(4, 0.6), seed=0)
-
-
 def test_run_result_steps_property():
     result = RunResult("full", [0.1, 0.2, 0.3], best_j=2, best_cost=2 / 0.3)
     assert result.steps == 2
@@ -187,7 +180,7 @@ def test_run_trial_matches_the_oracle_loop(kind, n):
 
 
 @pytest.mark.parametrize("kind", [KIND_SIMPLE, KIND_NEIGHBORHOOD])
-def test_run_trial_peak_memory_is_at_most_six_state_vectors(kind):
+def test_run_trial_peak_memory_is_at_most_four_and_a_half_state_vectors(kind):
     n = 16
     problem = generate(EnsembleSpec(n=n, k=3, m=4 * n, kind="random", seed=16)).problem
     run_trial(problem, PolicySpec(kind))  # warm-up: lazily built shared tables
@@ -198,4 +191,6 @@ def test_run_trial_peak_memory_is_at_most_six_state_vectors(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - base) / (8 << n) <= 6
+    # 3.63 (simple-threshold) and 3.76 (neighborhood) measured; one more
+    # state held for the whole trial reads 4.63 and 4.76
+    assert (peak - base) / (8 << n) <= 4.5

@@ -5,22 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import butterfly_fwht
+from oracles import butterfly_fwht, dense_w_hat, s_coefficient
 
 from qlsat.mixer import (
     DEFAULT_DENSE_LIMIT,
     MixerSpec,
     apply_u,
     dense_u,
-    dense_w_hat,
     fwht,
     kernel_rows,
     popcounts,
-    s_coefficient,
     u_coefficients,
     u_numerators,
 )
-from qlsat.sat import CapacityError, ones
+from qlsat.sat import CapacityError
 
 
 def brute_s(n, h, d):
@@ -28,8 +26,8 @@ def brute_s(n, h, d):
     s = (1 << d) - 1
     total = 0
     for r in range(1 << n):
-        if ones(r) == h:
-            total += (-1) ** ones(r & s)
+        if r.bit_count() == h:
+            total += (-1) ** (r & s).bit_count()
     return total
 
 
@@ -105,7 +103,7 @@ def test_fast_transform_matches_dense_matrix(n):
     # entries are parity signs of the AND of row and column index
     for r in range(1 << n):
         for s in range(1 << n):
-            assert w[r, s] == (-1) ** ones(r & s)
+            assert w[r, s] == (-1) ** (r & s).bit_count()
     x = rng.standard_normal(1 << n)
     np.testing.assert_allclose(fwht(x), w @ x, atol=1e-10)
     # applying twice recovers the input scaled by 2**n

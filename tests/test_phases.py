@@ -36,8 +36,6 @@ def test_policy_spec_validation():
         PolicySpec(KIND_SIMPLE, c_start=Fraction(-1, 2))
     with pytest.raises(ValueError):
         PolicySpec(KIND_NEIGHBORHOOD, n_start=-1)
-    with pytest.raises(ValueError):
-        PolicySpec(KIND_SIMPLE, max_steps=0)
     # plain numbers are accepted and stored exactly
     assert PolicySpec(KIND_SIMPLE, c_start=3).c_start == Fraction(3)
 
@@ -120,14 +118,12 @@ def test_resolve_policy_defaults():
 
 
 def test_resolve_policy_overrides_and_cap_check():
-    spec = PolicySpec(KIND_SIMPLE, c_start=Fraction(7, 2), max_steps=2)
+    spec = PolicySpec(KIND_SIMPLE, c_start=Fraction(7, 2))
     resolved = resolve_policy(spec, n=6, m=100, k=3)
     assert resolved.c_start == Fraction(7, 2)
-    assert resolved.max_steps == 2
-    with pytest.raises(ValueError):
-        resolve_policy(PolicySpec(KIND_SIMPLE, max_steps=7), n=10, m=40, k=3)
-    with pytest.raises(ValueError):
-        resolve_policy(PolicySpec(KIND_NEIGHBORHOOD, n_start=3, max_steps=5), 10, 40, 3)
+    assert resolved.max_steps == 4
+    nbr = resolve_policy(PolicySpec(KIND_NEIGHBORHOOD, n_start=3), 10, 40, 3)
+    assert nbr.max_steps == 4
 
 
 def test_signs_for_counts_dispatch():

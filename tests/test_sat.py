@@ -1,26 +1,22 @@
 """Clause representation, conflict statistics, and DIMACS interchange."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from oracles import index_conflict_vector, index_n_better_vector
+from oracles import index_conflict_vector, index_n_better_vector, n_better
 
 from qlsat.sat import (
     CapacityError,
     ConflictPattern,
     SatProblem,
-    avg_conflicts,
     check_full_capacity,
     clause_from_literals,
     clause_to_literals,
     conflict_vector,
     count_conflicts,
     from_dimacs,
-    hamming,
-    is_solution,
-    n_better,
     n_better_vector,
-    ones,
-    solution_indices,
     to_dimacs,
 )
 
@@ -42,10 +38,13 @@ def random_problem(n, k, m, seed):
 
 
 def test_ones_and_hamming():
-    assert ones(0) == 0
-    assert ones(0b1011) == 3
-    assert hamming(0b1011, 0b0011) == 1
-    assert hamming(5, 5) == 0
+    # one unit literal per variable, true where the solution has a 1 bit:
+    # an assignment's conflict count is its Hamming distance to the solution
+    solution = 0b0110
+    literals = [i + 1 if solution >> i & 1 else -(i + 1) for i in range(4)]
+    problem = SatProblem(n=4, k=1, clauses=tuple(clause_from_literals([lit]) for lit in literals))
+    for s in range(16):
+        assert count_conflicts(problem, s) == (s ^ solution).bit_count()
 
 
 def test_negated_unit_pair_pins_the_all_false_assignment():
@@ -53,7 +52,7 @@ def test_negated_unit_pair_pins_the_all_false_assignment():
     c2 = clause_from_literals([-2])
     problem = SatProblem(n=2, k=1, clauses=(c1, c2))
     assert [count_conflicts(problem, s) for s in range(4)] == [0, 1, 1, 2]
-    assert is_solution(problem, 0)
+    assert count_conflicts(problem, 0) == 0
     assert to_dimacs(problem) == "p cnf 2 2\n-1 0\n-2 0\n"
 
 
@@ -107,10 +106,7 @@ def test_conflict_vector_matches_per_assignment_count(n, k, m, seed):
     assert vec.shape == (1 << n,)
     for s in range(1 << n):
         assert vec[s] == count_conflicts(problem, s)
-    assert float(vec.mean()) == pytest.approx(float(avg_conflicts(problem)))
-    np.testing.assert_array_equal(
-        solution_indices(problem), [s for s in range(1 << n) if is_solution(problem, s)]
-    )
+    assert float(vec.mean()) == pytest.approx(float(Fraction(m, 2**k)))
 
 
 @pytest.mark.parametrize("seed", [3, 4])
