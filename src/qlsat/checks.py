@@ -178,9 +178,12 @@ DEFAULT_SPLIT_ONLY = frozenset(
 def run_checks(alpha: int | None = None, dense_limit: int = DENSE_LIMIT) -> Iterator[Row]:
     """Rows of every check in table order.
 
-    Raises CapacityError, before any check runs, when ``dense_limit`` is
-    above the dense-matrix limit DEFAULT_DENSE_LIMIT.
+    Raises, before any check runs, ValueError when ``dense_limit`` is below
+    2 (the dense comparison would compare nothing) and CapacityError when
+    it is above the dense-matrix limit DEFAULT_DENSE_LIMIT.
     """
+    if dense_limit < 2:
+        raise ValueError(f"dense comparisons start at n=2; got a dense limit of {dense_limit}")
     if dense_limit > DEFAULT_DENSE_LIMIT:
         raise CapacityError(
             f"dense comparisons up to n={dense_limit} need 4**n-entry matrices; "

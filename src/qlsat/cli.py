@@ -10,6 +10,13 @@ Records are JSON lines by default; --format csv emits the same values as a
 flat table.  Every record embeds the resolved configuration, so re-running
 with the same flags reproduces the output byte for byte.
 
+``run`` and ``sweep`` share one batch path.  A ``run`` batch is one record
+per instance, and an instance that fails (a bad file, a failed inline
+draw, a failed trial) becomes an error record without stopping the batch.
+Sweep point i is the aggregate of the inline ``run`` batch seeded
+``instance_seed_sequence(seed, i)`` with the point's n and m; the point
+records the first error of that batch instead.
+
 Environment overrides (flags win): QLSAT_SEED, QLSAT_THREADS, QLSAT_FORMAT,
 QLSAT_FULL_LIMIT, QLSAT_DENSE_LIMIT.
 
@@ -39,6 +46,7 @@ from .generate import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
     backtrack_solve,
+    draw_planted,
     generate as generate_instance,
     instance_metadata,
     instance_seed_sequence,
@@ -110,26 +118,41 @@ def _policy_config(args: argparse.Namespace) -> dict:
 
 
 def _trial(
-    args: argparse.Namespace,
-    policy: PolicySpec,
-    n: int,
-    m: int,
-    problem: SatProblem | None = None,
-    record_histograms: bool = False,
+    args: argparse.Namespace, n: int, m: int, problem: SatProblem | None
 ) -> engine_mod.RunResult:
     """One trial on the engine ``--engine`` names; the compact one needs no problem."""
+    policy = _policy_from_args(args)
     if args.engine == "compact":
         return compact_mod.compact_run(
-            n, policy, j_max=args.j_max, m=m, record_histograms=record_histograms
+            n, policy, j_max=args.j_max, m=m, record_histograms=args.histograms
         )
     return engine_mod.run_trial(
         problem,
         policy,
         mixer=MixerSpec(n, args.alpha),
         j_max=args.j_max,
-        record_histograms=record_histograms,
+        record_histograms=args.histograms,
         limit=args.full_limit,
     )
+
+
+def _check_capacity(args: argparse.Namespace, ns) -> None:
+    """Refuse a full-engine batch before anything runs if any n is over the limit."""
+    if args.engine == "full":
+        for n in ns:
+            sat_mod.check_full_capacity(n, args.full_limit)
+
+
+def _map(func, items: list, threads: int) -> list:
+    """func over items, in order, on ``threads`` worker threads.
+
+    One thread runs a plain loop: a pool's shutdown would run every queued
+    item after Ctrl-C.
+    """
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(func, items))
+    return [func(item) for item in items]
 
 
 def _check_compact_flags(args: argparse.Namespace) -> None:
@@ -254,9 +277,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # --- run --------------------------------------------------------------------
 
 
-def _load_instances(args: argparse.Namespace) -> list[tuple[dict, SatProblem | None]]:
-    """(descriptor, problem) pairs; a failed parse gives (descriptor, None)."""
-    items: list[tuple[dict, SatProblem | None]] = []
+def _load_instances(
+    args: argparse.Namespace,
+) -> list[tuple[dict, SatProblem | EnsembleSpec | None]]:
+    """(descriptor, source) pairs: a parsed file or the spec of an inline draw.
+
+    A file that fails to parse gives a descriptor with an ``error``.  Inline
+    specs are all built here, so a bad flag fails the batch before any
+    trial; the draws happen in ``_run_one``.  A compact batch that names no
+    ensemble (a compact sweep point) draws nothing.
+    """
+    items: list[tuple[dict, SatProblem | EnsembleSpec | None]] = []
     if args.instances:
         for path in args.instances:
             sidecar = Path(path).with_suffix(".json")
@@ -277,31 +308,32 @@ def _load_instances(args: argparse.Namespace) -> list[tuple[dict, SatProblem | N
             items.append((desc, problem))
         return items
     for i in range(args.trials):
-        spec = _ensemble_from_args(args, instance_seed_sequence(args.seed, i))
-        inst = generate_instance(spec)
-        desc = {
-            "source": "inline",
-            "index": i,
-            "n": spec.n,
-            "k": spec.k,
-            "m": inst.problem.m,
-            "kind": spec.kind,
-            "seed": spec.seed,
-            "planted": inst.planted,
-        }
-        items.append((desc, inst.problem))
+        desc = {"source": "inline", "index": i, "n": args.n, "k": args.k, "m": args.m}
+        spec = None
+        if args.engine == "full" or args.ensemble is not None:
+            spec = _ensemble_from_args(args, instance_seed_sequence(args.seed, i))
+            desc.update(
+                n=spec.n, k=spec.k, m=spec.m, kind=spec.kind, seed=spec.seed, planted=None
+            )
+        items.append((desc, spec))
     return items
 
 
-def _run_one(desc_problem, args, config) -> dict:
-    desc, problem = desc_problem
-    policy = _policy_from_args(args)
+def _run_one(item, args, config) -> dict:
+    desc, source = item
     record: dict = {"record": "run", "config": config, "instance": desc}
-    if problem is None:
+    if "error" in desc:
         record["error"] = desc.pop("error")
         return record
     try:
-        result = _trial(args, policy, desc["n"], desc["m"], problem, args.histograms)
+        problem = source
+        if isinstance(source, EnsembleSpec):
+            if args.engine == "compact":  # the shell engine reads only the planted value
+                problem, desc["planted"] = None, draw_planted(source)
+            else:
+                inst = generate_instance(source)
+                problem, desc["planted"] = inst.problem, inst.planted
+        result = _trial(args, desc["n"], desc["m"], problem)
     except CapacityError:
         raise
     except Exception as exc:  # per-instance failures stay in the batch
@@ -320,14 +352,6 @@ def _run_one(desc_problem, args, config) -> dict:
             [float(v) for v in h] for h in result.histograms
         ]
     return record
-
-
-def _check_run_capacity(args: argparse.Namespace, items) -> None:
-    if args.engine != "full":
-        return
-    for desc, problem in items:
-        if problem is not None:
-            sat_mod.check_full_capacity(desc["n"], args.full_limit)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -357,12 +381,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "histograms": args.histograms,
     }
     items = _load_instances(args)
-    _check_run_capacity(args, items)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            records = list(pool.map(lambda it: _run_one(it, args, config), items))
-    else:
-        records = [_run_one(it, args, config) for it in items]
+    _check_capacity(args, (desc["n"] for desc, _ in items if "error" not in desc))
+    records = _map(lambda item: _run_one(item, args, config), items, args.threads)
     _emit(records, args.format, args.out)
     return EXIT_OK
 
@@ -394,52 +414,48 @@ def _sweep_points(args: argparse.Namespace) -> list[dict]:
 
 
 def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> dict:
-    policy = _policy_from_args(args)
+    """Fold the inline ``run`` batch of this point into one aggregate record."""
     record = {"record": "sweep-point", "config": config, "point": dict(point)}
     trials = 1 if args.engine == "compact" else args.trials
     record["point"]["trials"] = trials
-    base = instance_seed_sequence(args.seed, point["index"])
-    costs, best_js, finals = [], [], []
-    insoluble = 0
-    steps_run = None
+    batch = argparse.Namespace(**{
+        **vars(args),
+        "instances": [],
+        "seed": instance_seed_sequence(args.seed, point["index"]),
+        "n": point["n"],
+        "m": point["m"],
+        "trials": trials,
+        "histograms": False,
+        # a compact point runs the shell engine only; it reports no instance
+        "ensemble": args.ensemble if args.engine == "full" else None,
+    })
     try:
-        for i in range(trials):
-            problem = None
-            if args.engine == "full":
-                spec = EnsembleSpec(
-                    n=point["n"],
-                    k=args.k,
-                    m=point["m"],
-                    kind=args.ensemble,
-                    seed=instance_seed_sequence(base, i),
-                    planted=args.planted,
-                )
-                problem = generate_instance(spec).problem
-            result = _trial(args, policy, point["n"], point["m"], problem)
-            steps_run = result.steps
-            finals.append(result.p_soln_by_step[-1])
-            if result.best_j is None:
-                insoluble += 1
-            else:
-                best_js.append(result.best_j)
-                costs.append(result.best_cost)
-    except CapacityError:
-        raise
-    except Exception as exc:
+        items = _load_instances(batch)
+    except ValueError as exc:  # the point's n and m name no valid ensemble
         record["error"] = f"{type(exc).__name__}: {exc}"
         return record
-    mean_final = float(np.mean(finals))
+    results = []
+    for item in items:  # as in a run batch, but the first error ends the point
+        run = _run_one(item, batch, config)
+        if "error" in run:
+            record["error"] = run["error"]
+            return record
+        results.append(run["result"])
+    solved = [r for r in results if r["best_j"] is not None]
+    costs = [r["best_cost"] for r in solved]
+    steps_run = results[-1]["steps"] if results else None
+    mean_final = float(np.mean([r["final_p"] for r in results]))
     record["result"] = {
         "steps": steps_run,
         "solved_trials": len(costs),
-        "unsolved_trials": insoluble,
+        "unsolved_trials": len(results) - len(costs),
         "mean_cost": float(np.mean(costs)) if costs else None,
         "sem_cost": (
             float(np.std(costs, ddof=1) / math.sqrt(len(costs)))
             if len(costs) > 1
             else 0.0 if costs else None
         ),
-        "mean_best_j": float(np.mean(best_js)) if best_js else None,
+        "mean_best_j": float(np.mean([r["best_j"] for r in solved])) if solved else None,
         "mean_final_p": mean_final,
         "fixed_step_cost": (steps_run / mean_final) if mean_final > 0 else None,
     }
@@ -471,16 +487,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "planted": args.planted,
     }
     points = _sweep_points(args)
-    if args.engine == "full":
-        for point in points:
-            sat_mod.check_full_capacity(point["n"], args.full_limit)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            records = list(
-                pool.map(lambda p: _sweep_point_record(p, args, config), points)
-            )
-    else:
-        records = [_sweep_point_record(p, args, config) for p in points]
+    _check_capacity(args, (point["n"] for point in points))
+    records = _map(lambda p: _sweep_point_record(p, args, config), points, args.threads)
     _emit(records, args.format, args.out)
     return EXIT_OK
 
@@ -508,12 +516,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
-        raise SystemExit1(message)
-
-
-class SystemExit1(Exception):
-    def __init__(self, message):
-        super().__init__(message)
+        raise _UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -585,17 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit1 as exc:
-        print(f"qlsat: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit1 as exc:
-        print(f"qlsat: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (_UsageError, ValueError) as exc:
         print(f"qlsat: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -176,6 +176,11 @@ def _draw_planted(spec: EnsembleSpec, rng: np.random.Generator) -> int:
     return wide & ((1 << spec.n) - 1)
 
 
+def draw_planted(spec: EnsembleSpec) -> int:
+    """The planted assignment an instance of ``spec`` gets: its seed's first draw."""
+    return _draw_planted(spec, _rng_for(spec.seed))
+
+
 def gen_random(spec: EnsembleSpec, attempt: int | None = None) -> GeneratedInstance:
     rng = _rng_for(spec.seed, attempt)
     indices = _sample_distinct(rng, clause_universe_size(spec.n, spec.k), spec.m)

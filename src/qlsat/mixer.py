@@ -57,11 +57,6 @@ class MixerSpec:
         if not 0 <= self.alpha <= self.n:
             raise ValueError(f"need 0 <= alpha <= n, got alpha={self.alpha}")
 
-    def tau_vector(self) -> np.ndarray:
-        """Signs tau_h for h = 0..n: +1 up to alpha, -1 beyond."""
-        h = np.arange(self.n + 1)
-        return np.where(h <= self.alpha, 1.0, -1.0)
-
     @cached_property
     def scaled_tau(self) -> np.ndarray:
         """tau of each index's Hamming weight over 2**n, for all 2**n indices.

@@ -87,39 +87,6 @@ def resolve_policy(spec: PolicySpec, n: int, m: int, k: int) -> ResolvedPolicy:
     return ResolvedPolicy(spec.kind, cap, c_start=c_start, n_start=n_start)
 
 
-def simple_signs(conflicts: np.ndarray, j: int, c_start: Fraction) -> np.ndarray:
-    """Phase vector for step j: -1 where conflicts > c_start - (j - 1).
-
-    The comparison is exact: with threshold p/q, invert where
-    conflicts * q > p.
-    """
-    if j < 1:
-        raise ValueError("steps are numbered from 1")
-    t = c_start - (j - 1)
-    invert = np.asarray(conflicts) * t.denominator > t.numerator
-    return np.where(invert, -1.0, 1.0)
-
-
-def neighborhood_signs(n_better: np.ndarray, j: int, n_start: int) -> np.ndarray:
-    """Phase vector for step j of the neighborhood policy."""
-    if j < 1:
-        raise ValueError("steps are numbered from 1")
-    d = n_start - np.asarray(n_better)
-    if j == 1:
-        invert = np.abs(d) % 4 >= 2
-        return np.where(invert, -1.0, 1.0)
-    keep = (d == j - 1) | (d == j - 2)
-    return np.where(keep, 1.0, -1.0)
-
-
-def signs_for_counts(
-    policy: ResolvedPolicy, conflicts: np.ndarray, n_better: np.ndarray, j: int
-) -> np.ndarray:
-    if policy.kind == KIND_SIMPLE:
-        return simple_signs(conflicts, j, policy.c_start)
-    return neighborhood_signs(n_better, j, policy.n_start)
-
-
 def policy_table(policy: ResolvedPolicy, conflicts: np.ndarray) -> np.ndarray:
     """Per-assignment counts the policy's signs depend on.
 
@@ -138,12 +105,22 @@ def sign_tables(
 
     Entry v of step j's table is the sign of an assignment whose count
     (conflicts, 0..m, or better neighbors, 0..n) is v; indexing it by
-    ``policy_table`` gives that step's phase vector.
+    ``policy_table`` gives that step's phase vector.  The rules are those
+    of the module docstring, evaluated in int64; the simple threshold
+    p/q = c_start - (j - 1) is compared exactly, as v * q > p.
     """
     steps = policy.max_steps if j_max is None else min(j_max, policy.max_steps)
     values = np.arange((m if policy.kind == KIND_SIMPLE else n) + 1, dtype=np.int64)
     for j in range(1, steps + 1):
-        yield signs_for_counts(policy, values, values, j)
+        if policy.kind == KIND_SIMPLE:
+            t = policy.c_start - (j - 1)
+            invert = values * t.denominator > t.numerator
+        elif j == 1:
+            invert = np.abs(policy.n_start - values) % 4 >= 2
+        else:
+            d = policy.n_start - values
+            invert = (d != j - 1) & (d != j - 2)
+        yield np.where(invert, -1.0, 1.0)
 
 
 def phase_schedule(

@@ -4,8 +4,9 @@
 ``index_conflict_vector`` and ``index_n_better_vector`` build the conflict
 and better-neighbor tables from a full index vector, one gather per bit;
 the package computes the same by radix-16 matmul passes and strided views.
-``oracle_schedule`` applies the phase rule to the int64 tables for every
-step up front, and ``oracle_trial`` evolves a trial from these.
+``oracle_schedule`` gathers the phase rule's sign tables by the int64
+tables for every step up front, ``tau_vector`` gives the mixing weight's
+sign by Hamming weight, and ``oracle_trial`` evolves a trial from these.
 
 ``n_better`` counts improving single flips of one assignment by direct
 evaluation; ``s_coefficient`` sums the transform kernel term by term, and
@@ -30,7 +31,7 @@ import numpy as np
 from qlsat.compact import CompactState, shell_weights
 from qlsat.engine import select_best
 from qlsat.mixer import DEFAULT_DENSE_LIMIT, MixerSpec, kernel_rows, popcounts, u_numerators
-from qlsat.phases import PolicySpec, resolve_policy, signs_for_counts
+from qlsat.phases import KIND_SIMPLE, PolicySpec, resolve_policy, sign_tables
 from qlsat.sat import (
     DEFAULT_FULL_LIMIT,
     CapacityError,
@@ -198,21 +199,25 @@ def index_n_better_vector(
 
 
 def oracle_schedule(problem: SatProblem, spec: PolicySpec) -> list[np.ndarray]:
-    """Phase vectors for every step, the rule applied to the int64 tables."""
+    """Phase vectors for every step: the sign tables gathered by the int64 tables."""
     policy = resolve_policy(spec, problem.n, problem.m, problem.k)
-    conflicts = index_conflict_vector(problem)
-    better = index_n_better_vector(problem)
-    return [
-        signs_for_counts(policy, conflicts, better, j)
-        for j in range(1, policy.max_steps + 1)
-    ]
+    if policy.kind == KIND_SIMPLE:
+        table = index_conflict_vector(problem)
+    else:
+        table = index_n_better_vector(problem)
+    return [signs[table] for signs in sign_tables(policy, problem.n, problem.m)]
+
+
+def tau_vector(spec: MixerSpec) -> np.ndarray:
+    """Signs tau_h for h = 0..n: +1 up to alpha, -1 beyond."""
+    return np.where(np.arange(spec.n + 1) <= spec.alpha, 1.0, -1.0)
 
 
 def oracle_trial(problem: SatProblem, spec: PolicySpec) -> tuple[list[float], int | None]:
     """p_soln_by_step and best_j from the oracle tables and the butterfly."""
     n, size = problem.n, 1 << problem.n
     solutions = np.flatnonzero(index_conflict_vector(problem) == 0)
-    tau = MixerSpec(n).tau_vector()[popcounts(n)]
+    tau = tau_vector(MixerSpec(n))[popcounts(n)]
     x = np.full(size, 1.0 / math.sqrt(size))
     probs = [float(np.sum(x[solutions] ** 2))]
     for signs in oracle_schedule(problem, spec):

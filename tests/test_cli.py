@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+import qlsat.cli
 from qlsat.cli import main
-from qlsat.generate import instance_seed_sequence
+from qlsat.generate import EnsembleSpec, generate, instance_seed_sequence
 
 REFERENCE_CNF = "p cnf 2 2\n-1 0\n-2 0\n"
 
@@ -211,6 +212,43 @@ def test_run_compact_engine_at_the_readme_size(capsys):
     assert all(0.0 <= p <= 1.0 for p in result["p_soln_by_step"])
 
 
+def test_run_compact_engine_draws_only_the_planted_value(capsys, monkeypatch):
+    def refuse(spec, **kwargs):
+        raise AssertionError("the compact engine generated an instance")
+
+    monkeypatch.setattr(qlsat.cli, "generate_instance", refuse)
+    code, out, _ = run_cli(capsys, "run", "--engine", "compact", "--n", "200")
+    assert code == 0
+    (record,) = jsonl(out)
+    assert "result" in record
+    spec = EnsembleSpec(
+        n=200, k=1, m=200, kind="max-constrained-1sat", seed=instance_seed_sequence(0, 0)
+    )
+    assert record["instance"]["planted"] == generate(spec).planted
+
+
+def test_run_keeps_going_past_a_failed_inline_draw(capsys, monkeypatch):
+    bad_seed = instance_seed_sequence(5, 1)
+    real = qlsat.cli.generate_instance
+
+    def flaky(spec, **kwargs):
+        if spec.seed == bad_seed:
+            raise RuntimeError("draw failed")
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(qlsat.cli, "generate_instance", flaky)
+    code, out, _ = run_cli(
+        capsys,
+        "run", "--ensemble", "random", "--n", "6", "--m", "12", "--trials", "3", "--seed", "5",
+    )
+    assert code == 0
+    records = jsonl(out)
+    assert [r["instance"]["index"] for r in records] == [0, 1, 2]
+    assert records[1]["error"] == "RuntimeError: draw failed"
+    assert "result" not in records[1]
+    assert "result" in records[0] and "result" in records[2]
+
+
 def test_generate_wide_planted_instance(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
@@ -319,6 +357,19 @@ def test_verify_refuses_a_dense_limit_above_the_library_guard(capsys):
     assert "capacity" in err
 
 
+@pytest.mark.parametrize("limit", [0, 1])
+def test_verify_refuses_a_dense_limit_below_two(capsys, monkeypatch, limit):
+    # n=2..limit would be empty: the fast-vs-dense check would compare nothing
+    code, out, err = run_cli(capsys, "verify", "--dense-limit", str(limit))
+    assert code == 1
+    assert out == ""
+    assert "dense" in err
+    monkeypatch.setenv("QLSAT_DENSE_LIMIT", str(limit))
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    assert out == ""
+
+
 def test_verify_rejects_impossible_alpha(capsys):
     code, _, err = run_cli(capsys, "verify", "--alpha", "7", "--dense-limit", "5")
     assert code == 1
@@ -354,34 +405,38 @@ def test_sweep_m_ratio_on_the_n_axis(capsys):
 
 
 def test_single_point_sweep_matches_run_aggregation(capsys):
-    code, out_sweep, _ = run_cli(
-        capsys,
-        "sweep", "--axis", "m-over-n", "--values", "4", "--n", "8",
-        "--ensemble", "random-soluble", "--trials", "5", "--seed", "42",
-    )
-    assert code == 0
-    (point,) = jsonl(out_sweep)
-    assert point["point"]["m"] == 32
-    point_seed = instance_seed_sequence(42, 0)
-    code, out_run, _ = run_cli(
-        capsys,
-        "run", "--ensemble", "random-soluble", "--n", "8", "--m", "32",
-        "--trials", "5", "--seed", str(point_seed),
-    )
-    assert code == 0
-    runs = jsonl(out_run)
-    costs = [r["result"]["best_cost"] for r in runs]
-    finals = [r["result"]["final_p"] for r in runs]
-    result = point["result"]
-    assert result["solved_trials"] == 5
-    assert result["mean_cost"] == pytest.approx(np.mean(costs), rel=1e-12)
-    assert result["mean_final_p"] == pytest.approx(np.mean(finals), rel=1e-12)
-    assert result["fixed_step_cost"] == pytest.approx(
-        result["steps"] / np.mean(finals), rel=1e-12
-    )
-    assert result["sem_cost"] == pytest.approx(
-        np.std(costs, ddof=1) / math.sqrt(5), rel=1e-12
-    )
+    # a sweep point aggregates the inline run batch seeded by its index
+    for ensemble, sweep_axis, m in (
+        ("random-soluble", ["--axis", "m-over-n", "--values", "4", "--n", "8"], 32),
+        ("max-constrained-1sat", ["--axis", "n", "--values", "8"], 8),
+    ):
+        code, out_sweep, _ = run_cli(
+            capsys,
+            "sweep", *sweep_axis, "--ensemble", ensemble, "--trials", "5", "--seed", "42",
+        )
+        assert code == 0
+        (point,) = jsonl(out_sweep)
+        assert point["point"]["m"] == m
+        point_seed = instance_seed_sequence(42, 0)
+        code, out_run, _ = run_cli(
+            capsys,
+            "run", "--ensemble", ensemble, "--n", "8", "--m", str(m),
+            "--trials", "5", "--seed", str(point_seed),
+        )
+        assert code == 0
+        runs = jsonl(out_run)
+        costs = [r["result"]["best_cost"] for r in runs]
+        finals = [r["result"]["final_p"] for r in runs]
+        result = point["result"]
+        assert result["solved_trials"] == 5
+        assert result["mean_cost"] == pytest.approx(np.mean(costs), rel=1e-12)
+        assert result["mean_final_p"] == pytest.approx(np.mean(finals), rel=1e-12)
+        assert result["fixed_step_cost"] == pytest.approx(
+            result["steps"] / np.mean(finals), rel=1e-12
+        )
+        assert result["sem_cost"] == pytest.approx(
+            np.std(costs, ddof=1) / math.sqrt(5), rel=1e-12
+        )
 
 
 def test_sweep_records_point_errors_and_continues(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import butterfly_fwht, dense_w_hat, s_coefficient
+from oracles import butterfly_fwht, dense_w_hat, s_coefficient, tau_vector
 
 from qlsat.mixer import (
     DEFAULT_DENSE_LIMIT,
@@ -54,7 +54,7 @@ def test_mixer_spec_defaults_and_validation():
         MixerSpec(0)
     with pytest.raises(ValueError):
         MixerSpec(4, alpha=5)
-    np.testing.assert_array_equal(MixerSpec(4).tau_vector(), [1, 1, 1, -1, -1])
+    np.testing.assert_array_equal(tau_vector(MixerSpec(4)), [1, 1, 1, -1, -1])
 
 
 @pytest.mark.parametrize("n", range(2, 31))
@@ -171,7 +171,7 @@ def test_dense_operator_values_by_distance():
 
 def test_scaled_tau_is_shared_and_read_only():
     spec = MixerSpec(5, alpha=2)
-    np.testing.assert_array_equal(spec.scaled_tau, spec.tau_vector()[popcounts(5)] / 32)
+    np.testing.assert_array_equal(spec.scaled_tau, tau_vector(spec)[popcounts(5)] / 32)
     assert spec.scaled_tau is spec.scaled_tau
     with pytest.raises(ValueError):
         spec.scaled_tau[0] = 1.0

@@ -13,11 +13,9 @@ from qlsat.phases import (
     KIND_SIMPLE,
     PolicySpec,
     ResolvedPolicy,
-    neighborhood_signs,
     phase_schedule,
     resolve_policy,
-    signs_for_counts,
-    simple_signs,
+    sign_tables,
     step_cap,
 )
 from qlsat.sat import (
@@ -40,30 +38,34 @@ def test_policy_spec_validation():
     assert PolicySpec(KIND_SIMPLE, c_start=3).c_start == Fraction(3)
 
 
+def simple_tables(c_start, m):
+    """Sign tables over 0..m conflicts of the simple threshold from c_start."""
+    policy = resolve_policy(PolicySpec(KIND_SIMPLE, c_start=c_start), n=m, m=m, k=1)
+    return list(sign_tables(policy, n=m, m=m))
+
+
+def neighborhood_tables(n_start, n):
+    """Sign tables over 0..n better neighbors of the neighborhood rule."""
+    policy = resolve_policy(PolicySpec(KIND_NEIGHBORHOOD, n_start=n_start), n=n, m=n, k=1)
+    return list(sign_tables(policy, n=n, m=n))
+
+
 def test_simple_threshold_fractional_boundary():
     # threshold 13/4 at step 1: only counts of 4 and above invert
-    c = Fraction(13, 4)
-    signs = simple_signs(np.arange(7), 1, c)
-    np.testing.assert_array_equal(signs, [1, 1, 1, 1, -1, -1, -1])
+    tables = simple_tables(Fraction(13, 4), 6)
+    np.testing.assert_array_equal(tables[0], [1, 1, 1, 1, -1, -1, -1])
     # step 2 lowers the threshold to 9/4
-    signs = simple_signs(np.arange(7), 2, c)
-    np.testing.assert_array_equal(signs, [1, 1, 1, -1, -1, -1, -1])
+    np.testing.assert_array_equal(tables[1], [1, 1, 1, -1, -1, -1, -1])
 
 
 def test_simple_threshold_integer_boundary_is_strict():
-    signs = simple_signs(np.array([2, 3, 4]), 1, Fraction(3))
-    np.testing.assert_array_equal(signs, [1, 1, -1])
-
-
-def test_simple_threshold_rejects_step_zero():
-    with pytest.raises(ValueError):
-        simple_signs(np.array([0]), 0, Fraction(1))
+    np.testing.assert_array_equal(simple_tables(Fraction(3), 4)[0][2:], [1, 1, -1])
 
 
 def test_neighborhood_first_step_distance_rule():
     # n_start = 5: invert where |5 - nb| mod 4 lands in {2, 3}
     nb = np.arange(11)
-    signs = neighborhood_signs(nb, 1, 5)
+    signs = neighborhood_tables(5, 10)[0]
     expected = [-1.0 if abs(5 - v) % 4 in (2, 3) else 1.0 for v in nb]
     np.testing.assert_array_equal(signs, expected)
     assert [v for v in nb if signs[v] < 0] == [2, 3, 7, 8]
@@ -71,9 +73,8 @@ def test_neighborhood_first_step_distance_rule():
 
 @pytest.mark.parametrize("j", [2, 3, 4])
 def test_neighborhood_later_steps_keep_a_moving_window(j):
-    nb = np.arange(9)
-    signs = neighborhood_signs(nb, j, 4)
-    for v in nb:
+    signs = neighborhood_tables(4, 8)[j - 1]
+    for v in range(9):
         keep = (4 - v) in (j - 1, j - 2)
         assert signs[v] == (1.0 if keep else -1.0)
 
@@ -81,20 +82,13 @@ def test_neighborhood_later_steps_keep_a_moving_window(j):
 def test_neighborhood_signs_match_the_set_membership_rule():
     nb = np.arange(13)
     for n_start in range(13):
+        tables = neighborhood_tables(n_start, 12)
+        assert len(tables) == n_start + 1
         first = np.isin(np.abs(n_start - nb) % 4, (2, 3))
-        np.testing.assert_array_equal(
-            neighborhood_signs(nb, 1, n_start), np.where(first, -1.0, 1.0)
-        )
+        np.testing.assert_array_equal(tables[0], np.where(first, -1.0, 1.0))
         for j in range(2, n_start + 2):
             keep = np.isin(n_start - nb, (j - 1, j - 2))
-            np.testing.assert_array_equal(
-                neighborhood_signs(nb, j, n_start), np.where(keep, 1.0, -1.0)
-            )
-
-
-def test_neighborhood_rejects_step_zero():
-    with pytest.raises(ValueError):
-        neighborhood_signs(np.array([0]), 0, 3)
+            np.testing.assert_array_equal(tables[j - 1], np.where(keep, 1.0, -1.0))
 
 
 def test_step_cap_values():
@@ -126,19 +120,19 @@ def test_resolve_policy_overrides_and_cap_check():
     assert nbr.max_steps == 4
 
 
-def test_signs_for_counts_dispatch():
-    conflicts = np.array([0, 1, 2, 3])
-    n_better = np.array([3, 2, 1, 0])
+def test_sign_tables_span_the_count_range_of_the_policy():
+    # simple-threshold signs are indexed by conflicts (0..m), neighborhood
+    # signs by better neighbors (0..n); j_max truncates the cap
     simple = ResolvedPolicy(KIND_SIMPLE, 3, c_start=Fraction(2))
     nbr = ResolvedPolicy(KIND_NEIGHBORHOOD, 3, n_start=2)
-    np.testing.assert_array_equal(
-        signs_for_counts(simple, conflicts, n_better, 1),
-        simple_signs(conflicts, 1, Fraction(2)),
-    )
-    np.testing.assert_array_equal(
-        signs_for_counts(nbr, conflicts, n_better, 2),
-        neighborhood_signs(n_better, 2, 2),
-    )
+    tables = list(sign_tables(simple, n=3, m=5))
+    assert [len(t) for t in tables] == [6, 6, 6]
+    np.testing.assert_array_equal(tables[0], [1, 1, 1, -1, -1, -1])
+    tables = list(sign_tables(nbr, n=3, m=5, j_max=2))
+    assert [len(t) for t in tables] == [4, 4]
+    # step 2 keeps n_start - v in {1, 0}, so v in {1, 2}
+    np.testing.assert_array_equal(tables[1], [-1, 1, 1, -1])
+    assert all(t.dtype == np.float64 for t in tables)
 
 
 def two_negated_units() -> SatProblem:
