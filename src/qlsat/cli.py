@@ -444,7 +444,7 @@ def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> 
     solved = [r for r in results if r["best_j"] is not None]
     costs = [r["best_cost"] for r in solved]
     steps_run = results[-1]["steps"] if results else None
-    mean_final = float(np.mean([r["final_p"] for r in results]))
+    mean_final = float(np.mean([r["final_p"] for r in results])) if results else None
     record["result"] = {
         "steps": steps_run,
         "solved_trials": len(costs),
@@ -457,7 +457,7 @@ def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> 
         ),
         "mean_best_j": float(np.mean([r["best_j"] for r in solved])) if solved else None,
         "mean_final_p": mean_final,
-        "fixed_step_cost": (steps_run / mean_final) if mean_final > 0 else None,
+        "fixed_step_cost": (steps_run / mean_final) if mean_final else None,
     }
     return record
 

@@ -16,7 +16,7 @@ reports the best j, preferring smaller j on ties.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +25,10 @@ from . import mixer as mixer_mod
 from .mixer import MixerSpec
 from .phases import PolicySpec, policy_table, resolve_policy, sign_tables
 from .sat import DEFAULT_FULL_LIMIT, SatProblem, check_full_capacity, conflict_vector
+
+# Assignments per piece of a readout (64 KiB of float64): the solution
+# and histogram readouts make temporaries of a few pieces, not of the state.
+READOUT_PIECE = 1 << 13
 
 
 @dataclass
@@ -55,14 +59,65 @@ def init_uniform(n: int, limit: int | None = DEFAULT_FULL_LIMIT) -> np.ndarray:
     return np.full(size, 1.0 / math.sqrt(size))
 
 
-def p_soln(x: np.ndarray, solutions: np.ndarray) -> float:
-    """Probability mass on the satisfying assignments."""
-    return float(np.sum(x[solutions] ** 2))
+def _solution_pieces(x: np.ndarray, conflicts: np.ndarray) -> Iterator[np.ndarray]:
+    """Amplitudes of the satisfying assignments in index order, in pieces.
+
+    Every piece but the last holds READOUT_PIECE values.  The pieces share
+    one buffer, so each must be used before the next is asked for.
+    """
+    piece, fill = np.empty(READOUT_PIECE), 0
+    for lo in range(0, len(x), READOUT_PIECE):
+        hi = lo + READOUT_PIECE
+        found = x[lo:hi][conflicts[lo:hi] == 0]
+        while len(found):
+            take = min(READOUT_PIECE - fill, len(found))
+            piece[fill : fill + take] = found[:take]
+            fill, found = fill + take, found[take:]
+            if fill == READOUT_PIECE:
+                yield piece
+                fill = 0
+    yield piece[:fill]
+
+
+def p_soln(x: np.ndarray, conflicts: np.ndarray) -> float:
+    """Probability mass on the satisfying assignments (conflict count 0).
+
+    The squares are summed with np.sum per piece of READOUT_PIECE
+    solutions and the pieces added in index order, so with at most one
+    piece of solutions this is exactly np.sum(x[conflicts == 0] ** 2).
+    Temporaries stay at a few pieces however many solutions there are.
+    """
+    total = 0.0
+    for piece in _solution_pieces(x, conflicts):
+        total += float(np.sum(np.square(piece, out=piece)))
+    return total
+
+
+def solution_readout(conflicts: np.ndarray) -> Callable[[np.ndarray], float]:
+    """``p_soln`` over one conflict table, for every step of a trial.
+
+    When the solutions fit in one piece their indices are held and
+    gathered, which gives the same bits as ``p_soln`` without scanning
+    the table each step; else each readout scans it.
+    """
+    if np.count_nonzero(conflicts == 0) > READOUT_PIECE:
+        return lambda x: p_soln(x, conflicts)
+    solutions = np.flatnonzero(conflicts == 0)
+    return lambda x: float(np.sum(x[solutions] ** 2))
 
 
 def conflict_histogram(x: np.ndarray, conflicts: np.ndarray, m: int) -> np.ndarray:
-    """Probability by conflict count: entry c sums |x_s|^2 with c conflicts."""
-    return np.bincount(conflicts, weights=np.asarray(x) ** 2, minlength=m + 1)
+    """Probability by conflict count: entry c sums |x_s|^2 with c conflicts.
+
+    Accumulated piece by piece in index order, as one bincount over the
+    whole state would, so the bits are the same but the squares and the
+    index cast are never made for the whole state at once.
+    """
+    hist = np.zeros(m + 1)
+    for lo in range(0, len(x), READOUT_PIECE):
+        hi = lo + READOUT_PIECE
+        np.add.at(hist, conflicts[lo:hi], np.asarray(x[lo:hi]) ** 2)
+    return hist
 
 
 def select_best(p_soln_by_step: list[float]) -> tuple[int | None, float]:
@@ -138,16 +193,19 @@ def run_trial(
     resolved = resolve_policy(policy, problem.n, problem.m, problem.k)
     conflicts = conflict_vector(problem, limit)
     table = policy_table(resolved, conflicts)
-    solutions = np.flatnonzero(conflicts == 0)
 
     # the start state goes straight into the call: a local holding it would
-    # keep one more 2**n vector alive for the whole trial
+    # keep one more 2**n vector alive for the whole trial.  evolve owns it,
+    # so it is mixed in place; each step's signs take one byte per entry
     return evolve(
         "full",
         init_uniform(problem.n, limit),
-        (signs[table] for signs in sign_tables(resolved, problem.n, problem.m, j_max)),
-        lambda x: mixer_mod.apply_u(spec, x),
-        lambda x: p_soln(x, solutions),
+        (
+            signs.astype(np.int8)[table]
+            for signs in sign_tables(resolved, problem.n, problem.m, j_max)
+        ),
+        lambda x: mixer_mod.apply_u(spec, x, inplace=True),
+        solution_readout(conflicts),
         histogram_of=(
             (lambda x: conflict_histogram(x, conflicts, problem.m))
             if record_histograms

@@ -62,8 +62,13 @@ class MixerSpec:
         """tau of each index's Hamming weight over 2**n, for all 2**n indices.
 
         Held by this spec, so every step of a trial reuses it (read-only).
+        Stored as float32, half the bytes of a state: +/-2**-n is a power
+        of two, exact in float32 for n up to 126, and ``apply_u`` widens
+        it to float64 before it multiplies, so the product is the same as
+        with a float64 table.  Both branches are float32 scalars, so no
+        float64 table is made on the way.
         """
-        scale = 1.0 / (1 << self.n)
+        scale = np.float32(1.0 / (1 << self.n))
         tau = np.where(popcounts(self.n) <= self.alpha, scale, -scale)
         tau.setflags(write=False)
         return tau
@@ -172,16 +177,21 @@ def fwht(x: np.ndarray, inplace: bool = False) -> np.ndarray:
     return a
 
 
-def apply_u(spec: MixerSpec, x: np.ndarray) -> np.ndarray:
+def apply_u(spec: MixerSpec, x: np.ndarray, inplace: bool = False) -> np.ndarray:
     """U @ x via transform, multiply by ``spec.scaled_tau``, transform.
 
     The sign flip on high-weight components and the 1/N normalization are
     one multiply between the transforms; scaling by a power of two is
-    exact, so its place in the product does not change the result.
+    exact, so its place in the product does not change the result.  The
+    float32 weights are widened to float64 in the multiply, so the result
+    is bit-identical to float64 weights.  ``inplace`` works as in ``fwht``:
+    x itself is transformed and returned when it is a contiguous float64
+    array, so no second state vector is made; by default x is left as it
+    was.
     """
     if len(x) != 1 << spec.n:
         raise ValueError(f"state length {len(x)} does not match n={spec.n}")
-    y = fwht(x)
+    y = fwht(x, inplace=inplace)
     y *= spec.scaled_tau
     return fwht(y, inplace=True)
 

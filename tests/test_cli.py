@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -450,6 +451,27 @@ def test_sweep_records_point_errors_and_continues(capsys):
     records = jsonl(out)
     assert "result" in records[0]
     assert "error" in records[1] and "result" not in records[1]
+
+
+def test_sweep_point_with_no_trials_writes_strict_json(capsys):
+    # an empty batch once gave "mean_final_p": NaN and two numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--axis", "n", "--values", "6", "--ensemble", "random",
+            "--m", "12", "--trials", "0",
+        )
+    assert code == 0 and err == ""
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    (record,) = [json.loads(line, parse_constant=reject) for line in out.splitlines()]
+    result = record["result"]
+    assert result["mean_final_p"] is None
+    assert result["fixed_step_cost"] is None
+    assert result["solved_trials"] == result["unsolved_trials"] == 0
 
 
 def test_thread_count_does_not_change_results(capsys):

@@ -170,11 +170,28 @@ def test_dense_operator_values_by_distance():
 
 
 def test_scaled_tau_is_shared_and_read_only():
-    spec = MixerSpec(5, alpha=2)
-    np.testing.assert_array_equal(spec.scaled_tau, tau_vector(spec)[popcounts(5)] / 32)
-    assert spec.scaled_tau is spec.scaled_tau
-    with pytest.raises(ValueError):
-        spec.scaled_tau[0] = 1.0
+    for n, alpha in ((5, 2), (12, None), (20, 3)):
+        spec = MixerSpec(n, alpha=alpha)
+        assert spec.scaled_tau.dtype == np.float32
+        # +/-2**-n is exact in float32: widened, it equals the float64 weights
+        expected = tau_vector(spec)[popcounts(n)] / (1 << n)
+        np.testing.assert_array_equal(spec.scaled_tau.astype(np.float64), expected)
+        assert spec.scaled_tau is spec.scaled_tau
+        with pytest.raises(ValueError):
+            spec.scaled_tau[0] = 1.0
+
+
+@pytest.mark.parametrize("n", [3, 9, 16])
+def test_apply_u_leaves_its_input_unless_asked(n):
+    spec = MixerSpec(n)
+    x = np.random.default_rng(40 + n).standard_normal(1 << n)
+    before = x.copy()
+    y = apply_u(spec, x)
+    assert y is not x
+    np.testing.assert_array_equal(x, before)
+    z = apply_u(spec, x, inplace=True)
+    assert z is x
+    np.testing.assert_array_equal(z, y)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

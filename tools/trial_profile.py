@@ -1,0 +1,95 @@
+"""Wall time and memory of one full-engine trial, per policy.
+
+    python tools/trial_profile.py N [--src DIR]
+
+Draws one random 3-SAT instance with n = N and m = 4N clauses (seed 0)
+and, for each policy, runs it in a fresh child process with one BLAS
+thread.  Each child prints one line:
+
+* the median wall time of REPEATS trials, after one warm-up trial that
+  also builds the shared lazily made tables;
+* the resident growth of that first trial: the rise of the process's peak
+  RSS, in state vectors of 8 * 2**N bytes;
+* the traced peak of one more trial under ``tracemalloc``, in state
+  vectors, measured from the memory held before the trial as the
+  peak-memory test does.
+
+``--src`` profiles the checkout at DIR (its package is imported from
+DIR/src) instead of this one, so two checkouts can be compared.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+POLICIES = ("simple-threshold", "neighborhood")
+REPEATS = 5
+
+
+def profile(args: argparse.Namespace) -> str:
+    sys.path.insert(0, str(Path(args.src).resolve() / "src"))
+    from qlsat import EnsembleSpec, PolicySpec, generate, run_trial
+
+    spec = EnsembleSpec(n=args.n, k=3, m=4 * args.n, kind="random", seed=0)
+    problem = generate(spec).problem
+    policy = PolicySpec(args.policy)
+    vector = 8 << args.n
+
+    rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    run_trial(problem, policy)
+    # ru_maxrss is in KiB on Linux
+    rss_growth = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss_before) * 1024
+
+    walls = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        run_trial(problem, policy)
+        walls.append(time.perf_counter() - start)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_trial(problem, policy)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+    return (
+        f"{args.policy:<16} n={args.n} m={problem.m}: "
+        f"wall median {statistics.median(walls):.3f} s "
+        f"(min {min(walls):.3f}, max {max(walls):.3f}, {len(walls)} trials), "
+        f"traced peak {peak / vector:.2f} vectors, "
+        f"resident growth {rss_growth / vector:.2f} vectors ({rss_growth / 2**20:.0f} MiB)"
+    )
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("n", type=int)
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1]))
+    parser.add_argument("--policy", choices=POLICIES, help="profile this policy only")
+    args = parser.parse_args()
+    if args.policy:
+        print(profile(args), flush=True)
+        return 0
+    for kind in POLICIES:  # a fresh process each, so peak RSS starts clean
+        argv = [sys.executable, __file__, str(args.n), "--src", args.src, "--policy", kind]
+        code = subprocess.run(argv).returncode
+        if code:
+            return code
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
