@@ -8,7 +8,9 @@ Subcommands
 
 Records are JSON lines by default; --format csv emits the same values as a
 flat table.  Every record embeds the resolved configuration, so re-running
-with the same flags reproduces the output byte for byte.
+with the same flags reproduces the output byte for byte.  Each subcommand
+takes only the options it reads, and --k defaults to 1 for 1-SAT (the
+compact engine, max-constrained-1sat), else 3.
 
 ``run`` and ``sweep`` share one batch path.  A ``run`` batch is one record
 per instance, and an instance that fails (a bad file, a failed inline
@@ -17,16 +19,17 @@ Sweep point i is the aggregate of the inline ``run`` batch seeded
 ``instance_seed_sequence(seed, i)`` with the point's n and m; the point
 records the first error of that batch instead.
 
-Environment overrides (flags win): QLSAT_SEED, QLSAT_THREADS, QLSAT_FORMAT,
-QLSAT_FULL_LIMIT, QLSAT_DENSE_LIMIT.
+Environment overrides (flags win, for the commands that take the flag):
+QLSAT_SEED, QLSAT_THREADS, QLSAT_FORMAT, QLSAT_FULL_LIMIT, QLSAT_DENSE_LIMIT.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 capacity
-exceeded.
+Exit codes: 0 success, 1 usage error (or a closed output pipe), 2
+verification failure, 3 capacity exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -45,6 +48,7 @@ from .checks import DENSE_LIMIT, run_checks
 from .generate import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
+    backtrack_count,
     backtrack_solve,
     draw_planted,
     generate as generate_instance,
@@ -156,12 +160,11 @@ def _map(func, items: list, threads: int) -> list:
 
 
 def _check_compact_flags(args: argparse.Namespace) -> None:
-    """Refuse full-engine-only flags under --engine compact, and fix k = 1."""
+    """Refuse full-engine-only flags under --engine compact."""
     if args.alpha is not None:
         raise _UsageError("--alpha only applies to the full engine")
-    if args.k not in (None, 1):
+    if args.k != 1:
         raise _UsageError("the compact engine is 1-SAT only")
-    args.k = 1
 
 
 # --- record emission ----------------------------------------------------------
@@ -224,13 +227,10 @@ def _ensemble_from_args(args: argparse.Namespace, seed: int) -> EnsembleSpec:
     if args.ensemble is None:
         raise _UsageError("an inline batch needs --ensemble")
     n, k, m = args.n, args.k, args.m
-    if k is None:
-        k = 3
     if n is None:
         raise _UsageError("--n is required")
-    if args.ensemble == "max-constrained-1sat":
-        k = 1
-        m = n if m is None else m
+    if args.ensemble == "max-constrained-1sat" and m is None:
+        m = n
     if m is None:
         raise _UsageError("--m is required for this ensemble")
     return EnsembleSpec(n=n, k=k, m=m, kind=args.ensemble, seed=seed, planted=args.planted)
@@ -242,9 +242,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     records = []
     for i in range(args.trials):
         spec = _ensemble_from_args(args, instance_seed_sequence(args.seed, i))
-        inst = generate_instance(spec, **(
-            {"count_solutions": True} if args.count_solutions and spec.kind == "random-soluble" else {}
-        ))
+        inst = generate_instance(spec)
+        if args.count_solutions:
+            inst = dataclasses.replace(inst, solution_count=backtrack_count(inst.problem))
         meta = instance_metadata(inst)
         meta["base_seed"] = args.seed
         meta["index"] = i
@@ -363,8 +363,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             args.ensemble = "max-constrained-1sat"
         if args.ensemble != "max-constrained-1sat":
             raise _UsageError("the compact engine needs --ensemble max-constrained-1sat")
-    elif args.k is None:
-        args.k = 3
     config = {
         "command": "run",
         "engine": args.engine,
@@ -465,11 +463,8 @@ def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.engine == "compact":
         _check_compact_flags(args)
-    else:
-        if args.ensemble is None:
-            raise _UsageError("a full-engine sweep needs --ensemble")
-        if args.k is None:
-            args.k = 3
+    elif args.ensemble is None:
+        raise _UsageError("a full-engine sweep needs --ensemble")
     config = {
         "command": "sweep",
         "engine": args.engine,
@@ -533,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=_env_int("SEED", 0))
-    common.add_argument("--threads", type=int, default=_env_int("THREADS", 1))
     common.add_argument(
         "--format", choices=("jsonl", "csv"), default=_env_str("FORMAT", "jsonl")
     )
@@ -559,6 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     policy.add_argument(
         "--full-limit", type=int, default=_env_int("FULL_LIMIT", DEFAULT_FULL_LIMIT)
     )
+    policy.add_argument("--threads", type=int, default=_env_int("THREADS", 1))
 
     p = sub.add_parser("generate", parents=[common, ensemble], help="write instance files")
     p.add_argument("--out-dir", required=True)
@@ -577,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-ratio", type=float, help="m = round(ratio * n) on the n axis")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("verify", parents=[common], help="self-checks")
+    p = sub.add_parser("verify", help="self-checks")
     p.add_argument("--alpha", type=int, help="inject a non-default mixing split")
     p.add_argument(
         "--dense-limit", type=int, default=_env_int("DENSE_LIMIT", DENSE_LIMIT),
@@ -590,13 +585,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        if "k" in args and args.k is None:  # verify has no --k, generate no --engine
+            compact = getattr(args, "engine", None) == "compact"
+            args.k = 1 if compact or args.ensemble == "max-constrained-1sat" else 3
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
     except (_UsageError, ValueError) as exc:
         print(f"qlsat: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:
         print(f"qlsat: capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except BrokenPipeError:
+        # the reader has gone: exit 1, as Python does on EPIPE, and point
+        # stdout at devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

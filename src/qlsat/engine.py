@@ -16,7 +16,7 @@ reports the best j, preferring smaller j on ties.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,51 +59,24 @@ def init_uniform(n: int, limit: int | None = DEFAULT_FULL_LIMIT) -> np.ndarray:
     return np.full(size, 1.0 / math.sqrt(size))
 
 
-def _solution_pieces(x: np.ndarray, conflicts: np.ndarray) -> Iterator[np.ndarray]:
-    """Amplitudes of the satisfying assignments in index order, in pieces.
-
-    Every piece but the last holds READOUT_PIECE values.  The pieces share
-    one buffer, so each must be used before the next is asked for.
-    """
-    piece, fill = np.empty(READOUT_PIECE), 0
-    for lo in range(0, len(x), READOUT_PIECE):
-        hi = lo + READOUT_PIECE
-        found = x[lo:hi][conflicts[lo:hi] == 0]
-        while len(found):
-            take = min(READOUT_PIECE - fill, len(found))
-            piece[fill : fill + take] = found[:take]
-            fill, found = fill + take, found[take:]
-            if fill == READOUT_PIECE:
-                yield piece
-                fill = 0
-    yield piece[:fill]
-
-
-def p_soln(x: np.ndarray, conflicts: np.ndarray) -> float:
-    """Probability mass on the satisfying assignments (conflict count 0).
-
-    The squares are summed with np.sum per piece of READOUT_PIECE
-    solutions and the pieces added in index order, so with at most one
-    piece of solutions this is exactly np.sum(x[conflicts == 0] ** 2).
-    Temporaries stay at a few pieces however many solutions there are.
-    """
-    total = 0.0
-    for piece in _solution_pieces(x, conflicts):
-        total += float(np.sum(np.square(piece, out=piece)))
-    return total
-
-
 def solution_readout(conflicts: np.ndarray) -> Callable[[np.ndarray], float]:
-    """``p_soln`` over one conflict table, for every step of a trial.
+    """Probability mass on the satisfying assignments, for every step of a trial.
 
-    When the solutions fit in one piece their indices are held and
-    gathered, which gives the same bits as ``p_soln`` without scanning
-    the table each step; else each readout scans it.
+    With at most READOUT_PIECE solutions their indices are held and each
+    readout is np.sum(x[solutions] ** 2).  With more, each readout sums the
+    solutions of each piece of READOUT_PIECE assignments and adds the piece
+    sums exactly (math.fsum): its rounding error is that of one piece's
+    np.sum, and its temporaries stay at a few pieces however many solutions
+    there are.
     """
-    if np.count_nonzero(conflicts == 0) > READOUT_PIECE:
-        return lambda x: p_soln(x, conflicts)
-    solutions = np.flatnonzero(conflicts == 0)
-    return lambda x: float(np.sum(x[solutions] ** 2))
+    solved = conflicts == 0
+    if np.count_nonzero(solved) <= READOUT_PIECE:
+        solutions = np.flatnonzero(solved)
+        return lambda x: float(np.sum(x[solutions] ** 2))
+    return lambda x: math.fsum(
+        np.sum(x[lo : lo + READOUT_PIECE][conflicts[lo : lo + READOUT_PIECE] == 0] ** 2)
+        for lo in range(0, len(x), READOUT_PIECE)
+    )
 
 
 def conflict_histogram(x: np.ndarray, conflicts: np.ndarray, m: int) -> np.ndarray:

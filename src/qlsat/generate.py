@@ -55,7 +55,7 @@ class EnsembleSpec:
     m: int
     kind: str
     seed: int
-    planted: int | None = None  # fixed planted solution; None means draw one
+    planted: int | None = None  # fixed planted solution (planted kinds); None draws one
 
     def __post_init__(self) -> None:
         if self.kind not in ENSEMBLE_KINDS:
@@ -72,8 +72,11 @@ class EnsembleSpec:
                 raise ValueError(f"m={self.m} exceeds the clause universe")
         elif self.m > max_clauses(self.n, self.k):
             raise ValueError(f"m={self.m} exceeds max_clauses={max_clauses(self.n, self.k)}")
-        if self.planted is not None and not 0 <= self.planted < (1 << self.n):
-            raise ValueError("planted assignment out of range")
+        if self.planted is not None:
+            if self.kind in ("random", "random-soluble"):
+                raise ValueError(f"{self.kind} instances have no planted assignment")
+            if not 0 <= self.planted < (1 << self.n):
+                raise ValueError("planted assignment out of range")
 
 
 @dataclass(frozen=True)
@@ -213,33 +216,24 @@ def gen_max_constrained_1sat(spec: EnsembleSpec) -> GeneratedInstance:
 
 
 def gen_random_soluble(
-    spec: EnsembleSpec,
-    budget: int = DEFAULT_REJECTION_BUDGET,
-    count_solutions: bool = False,
+    spec: EnsembleSpec, budget: int = DEFAULT_REJECTION_BUDGET
 ) -> GeneratedInstance:
     """First soluble ``random`` draw, trying sub-seeded attempts in order."""
     for attempt in range(budget):
         candidate = gen_random(spec, attempt=attempt)
-        witness = backtrack_solve(candidate.problem)
-        if witness is None:
-            continue
-        count = None
-        if count_solutions:
-            count = backtrack_count(candidate.problem)
-        return GeneratedInstance(
-            candidate.problem, spec, planted=None, solution_count=count
-        )
+        if backtrack_solve(candidate.problem) is not None:
+            return GeneratedInstance(candidate.problem, spec)
     raise RuntimeError(
         f"no soluble instance within {budget} attempts for {spec}"
     )
 
 
-def generate(spec: EnsembleSpec, **kwargs) -> GeneratedInstance:
+def generate(spec: EnsembleSpec) -> GeneratedInstance:
     """Dispatch on spec.kind."""
     if spec.kind == "random":
         return gen_random(spec)
     if spec.kind == "random-soluble":
-        return gen_random_soluble(spec, **kwargs)
+        return gen_random_soluble(spec)
     if spec.kind == "prespecified-solution":
         return gen_prespecified(spec)
     return gen_max_constrained_1sat(spec)

@@ -1,17 +1,22 @@
 """Command-line behavior: records, formats, determinism, exit codes."""
 
+import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qlsat.cli
-from qlsat.cli import main
-from qlsat.generate import EnsembleSpec, generate, instance_seed_sequence
+from qlsat.cli import build_parser, main
+from qlsat.generate import ENSEMBLE_KINDS, EnsembleSpec, generate, instance_seed_sequence
+from qlsat.sat import count_conflicts, from_dimacs
 
 REFERENCE_CNF = "p cnf 2 2\n-1 0\n-2 0\n"
 
@@ -305,6 +310,14 @@ def test_run_histograms_flag(capsys):
         ["sweep", "--axis", "n", "--values", "5.5", "--engine", "compact"],
         ["generate", "--out-dir", "x", "--ensemble", "random", "--n", "5"],
         ["nonsense"],
+        # a planted value on an ensemble that draws none
+        ["run", "--ensemble", "random", "--n", "6", "--m", "10", "--planted", "5"],
+        ["generate", "--out-dir", "x", "--ensemble", "random-soluble", "--n", "6",
+         "--m", "10", "--planted", "5"],
+        # a --k that contradicts the ensemble is refused, not replaced
+        ["run", "--ensemble", "max-constrained-1sat", "--n", "6", "--k", "3"],
+        ["generate", "--out-dir", "x", "--ensemble", "max-constrained-1sat", "--n", "6",
+         "--k", "3"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys, tmp_path):
@@ -312,6 +325,106 @@ def test_usage_errors_exit_one(argv, capsys, tmp_path):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert "error" in err.lower()
+
+
+def subcommand_options() -> dict[str, set[str]]:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {flag for action in parser._actions for flag in action.option_strings}
+        for name, parser in sub.choices.items()
+    }
+
+
+def test_each_subcommand_takes_only_the_options_it_reads(capsys, tmp_path):
+    output = {"-h", "--help", "--seed", "--format", "--out"}
+    ensemble = {"--n", "--k", "--m", "--ensemble", "--planted", "--trials"}
+    trials = {"--policy", "--c-start", "--n-start", "--alpha", "--j-max", "--engine",
+              "--full-limit", "--threads"}
+    assert subcommand_options() == {
+        "generate": output | ensemble | {"--out-dir", "--check-soluble", "--count-solutions"},
+        "run": output | ensemble | trials | {"--histograms"},
+        "sweep": output | ensemble | trials | {"--axis", "--values", "--m-ratio"},
+        "verify": {"-h", "--help", "--alpha", "--dense-limit"},
+    }
+    target = tmp_path / "f"
+    code, out, err = run_cli(capsys, "verify", "--out", str(target))
+    assert code == 1 and out == "" and "unrecognized arguments: --out" in err
+    assert not target.exists()
+    code, out, err = run_cli(
+        capsys, "generate", "--out-dir", str(tmp_path / "inst"), "--ensemble", "random",
+        "--n", "5", "--m", "4", "--threads", "2",
+    )
+    assert code == 1 and out == "" and "unrecognized arguments: --threads" in err
+    assert not (tmp_path / "inst").exists()
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLE_KINDS)
+def test_generate_counts_solutions_for_every_ensemble(tmp_path, capsys, ensemble):
+    m = [] if ensemble == "max-constrained-1sat" else ["--m", "10"]
+    code, out, _ = run_cli(
+        capsys,
+        "generate", "--out-dir", str(tmp_path), "--ensemble", ensemble, "--n", "6", *m,
+        "--trials", "3", "--seed", "4", "--count-solutions",
+    )
+    assert code == 0
+    for record in jsonl(out):
+        path = Path(record["path"])
+        problem = from_dimacs(path.read_text())
+        brute = sum(count_conflicts(problem, s) == 0 for s in range(1 << 6))
+        assert record["solution_count"] == brute
+        assert json.loads(path.with_suffix(".json").read_text())["solution_count"] == brute
+
+
+def test_max_constrained_records_report_the_k_of_their_instances(capsys):
+    code, out, _ = run_cli(
+        capsys, "run", "--ensemble", "max-constrained-1sat", "--n", "6", "--trials", "2"
+    )
+    assert code == 0
+    for record in jsonl(out):
+        assert record["config"]["k"] == record["instance"]["k"] == 1
+    code, out, _ = run_cli(
+        capsys, "sweep", "--axis", "n", "--values", "6", "--ensemble", "max-constrained-1sat"
+    )
+    assert code == 0
+    (point,) = jsonl(out)
+    assert point["config"]["k"] == 1 and "result" in point
+
+
+def test_planted_value_on_a_sweep_of_random_instances_is_a_point_error(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "sweep", "--axis", "n", "--values", "6,7", "--ensemble", "random-soluble",
+        "--m", "10", "--planted", "5",
+    )
+    assert code == 0
+    errors = [record["error"] for record in jsonl(out)]
+    assert errors == ["ValueError: random-soluble instances have no planted assignment"] * 2
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered, lines_read",
+    [
+        (["verify"], "1", 1),  # one print per check, as in `qlsat verify | head -1`
+        (["verify"], None, 0),  # a buffered report, written only when the command ends
+        # one write larger than the pipe holds, through a buffered stdout
+        (["run", "--ensemble", "random", "--n", "4", "--m", "2", "--trials", "300"], None, 1),
+    ],
+)
+def test_a_closed_pipe_ends_quietly(argv, unbuffered, lines_read):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qlsat", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()  # the reader goes away
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_capacity_exit_code(capsys):

@@ -13,7 +13,6 @@ from qlsat.engine import (
     conflict_histogram,
     evolve,
     init_uniform,
-    p_soln,
     run_trial,
     select_best,
     solution_readout,
@@ -108,7 +107,7 @@ def test_conflict_histogram_totals():
     for c in range(problem.m + 1):
         expected = np.sum(conflicts == c) / 32
         assert hist[c] == pytest.approx(expected, abs=1e-12)
-    assert p_soln(x, conflicts) == pytest.approx(hist[0], abs=1e-15)
+    assert solution_readout(conflicts)(x) == pytest.approx(hist[0], abs=1e-15)
 
 
 def conflicts_with_solutions(n: int, count: int, seed: int) -> np.ndarray:
@@ -124,21 +123,23 @@ def test_p_soln_is_the_one_sum_up_to_one_piece_of_solutions(count):
     n = 16
     conflicts = conflicts_with_solutions(n, count, seed=count)
     x = np.random.default_rng(1).standard_normal(1 << n)
-    expected = np.sum(x[np.flatnonzero(conflicts == 0)] ** 2)
-    assert p_soln(x, conflicts) == expected
-    assert solution_readout(conflicts)(x) == expected
+    # held solution indices: the same bits as one sum over all solutions
+    assert solution_readout(conflicts)(x) == np.sum(x[np.flatnonzero(conflicts == 0)] ** 2)
 
 
 def test_p_soln_over_many_pieces_of_solutions():
     n = 16
     conflicts = np.zeros(1 << n, dtype=np.uint8)  # m = 0: every assignment solves
     x = np.random.default_rng(2).standard_normal(1 << n)
-    expected = np.sum(x**2)
-    assert p_soln(x, conflicts) == pytest.approx(expected, rel=1e-15, abs=0)
-    assert solution_readout(conflicts)(x) == p_soln(x, conflicts)
-    # pieces split mid-scan still take every solution exactly once
+    assert solution_readout(conflicts)(x) == pytest.approx(np.sum(x**2), rel=1e-15, abs=0)
+    # solutions spread unevenly over the pieces of the scan are each taken once
     odd = conflicts_with_solutions(n, 3 * READOUT_PIECE + 5, seed=3)
-    assert p_soln(x, odd) == pytest.approx(np.sum(x[odd == 0] ** 2), rel=1e-15, abs=0)
+    assert solution_readout(odd)(x) == pytest.approx(np.sum(x[odd == 0] ** 2), rel=1e-15, abs=0)
+    # the piece sums are added exactly: seven pieces of a quarter ulp each
+    # would round away one by one against a first piece of 1.0
+    y = np.zeros(1 << n)
+    y[0], y[READOUT_PIECE::READOUT_PIECE] = 1.0, 2.0**-27
+    assert solution_readout(conflicts)(y) == math.fsum(y**2) == 1 + 2.0**-51
 
 
 def test_conflict_histogram_is_one_bincount_bit_for_bit():

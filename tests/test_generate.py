@@ -133,10 +133,9 @@ def test_narrow_planted_draws_are_unchanged():
 
 def test_random_soluble_delivers_a_solution_and_respects_budget():
     spec = EnsembleSpec(n=9, k=3, m=36, kind="random-soluble", seed=11)
-    inst = gen_random_soluble(spec, count_solutions=True)
+    inst = gen_random_soluble(spec)
     witness = backtrack_solve(inst.problem)
     assert witness is not None and count_conflicts(inst.problem, witness) == 0
-    assert inst.solution_count >= 1
     assert DEFAULT_REJECTION_BUDGET == 10_000
     with pytest.raises(RuntimeError):
         gen_random_soluble(spec, budget=0)
@@ -205,7 +204,10 @@ def test_metadata_sidecar_fields():
         dict(n=4, k=2, m=19, kind="prespecified-solution", seed=0),  # admissible max is 18
         dict(n=4, k=2, m=4, kind="max-constrained-1sat", seed=0),
         dict(n=4, k=1, m=3, kind="max-constrained-1sat", seed=0),
-        dict(n=4, k=2, m=3, kind="random", seed=0, planted=16),
+        dict(n=4, k=2, m=3, kind="prespecified-solution", seed=0, planted=16),
+        # only the planted kinds read a planted assignment
+        dict(n=4, k=2, m=3, kind="random", seed=0, planted=5),
+        dict(n=4, k=2, m=3, kind="random-soluble", seed=0, planted=5),
     ],
 )
 def test_ensemble_spec_rejects_bad_parameters(kwargs):

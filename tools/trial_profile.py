@@ -1,10 +1,13 @@
-"""Wall time and memory of one full-engine trial, per policy.
+"""Wall time and memory of one full-engine trial, per policy and instance.
 
     python tools/trial_profile.py N [--src DIR]
 
-Draws one random 3-SAT instance with n = N and m = 4N clauses (seed 0)
-and, for each policy, runs it in a fresh child process with one BLAS
-thread.  Each child prints one line:
+Profiles two instances with n = N: one random 3-SAT draw with m = 4N
+clauses (seed 0), and the instance with no clauses.  There every
+assignment is a solution, so from N = 14 on the solution readout scans
+the conflict table in pieces instead of holding solution indices.  Each
+policy on each instance runs in a fresh child process with one BLAS
+thread, and each child prints one line:
 
 * the median wall time of REPEATS trials, after one warm-up trial that
   also builds the shared lazily made tables;
@@ -21,10 +24,10 @@ DIR/src) instead of this one, so two checkouts can be compared.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import resource
 import statistics
-import subprocess
 import sys
 import time
 import tracemalloc
@@ -37,14 +40,16 @@ POLICIES = ("simple-threshold", "neighborhood")
 REPEATS = 5
 
 
-def profile(args: argparse.Namespace) -> str:
-    sys.path.insert(0, str(Path(args.src).resolve() / "src"))
-    from qlsat import EnsembleSpec, PolicySpec, generate, run_trial
+def profile(n: int, src: str, kind: str, clauses: bool) -> None:
+    sys.path.insert(0, str(Path(src).resolve() / "src"))
+    from qlsat import EnsembleSpec, PolicySpec, SatProblem, generate, run_trial
 
-    spec = EnsembleSpec(n=args.n, k=3, m=4 * args.n, kind="random", seed=0)
-    problem = generate(spec).problem
-    policy = PolicySpec(args.policy)
-    vector = 8 << args.n
+    if clauses:
+        problem = generate(EnsembleSpec(n=n, k=3, m=4 * n, kind="random", seed=0)).problem
+    else:
+        problem = SatProblem(n=n, k=3, clauses=())
+    policy = PolicySpec(kind)
+    vector = 8 << n
 
     rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     run_trial(problem, policy)
@@ -65,12 +70,13 @@ def profile(args: argparse.Namespace) -> str:
     finally:
         tracemalloc.stop()
 
-    return (
-        f"{args.policy:<16} n={args.n} m={problem.m}: "
+    print(
+        f"{kind:<16} n={n} m={problem.m}: "
         f"wall median {statistics.median(walls):.3f} s "
         f"(min {min(walls):.3f}, max {max(walls):.3f}, {len(walls)} trials), "
         f"traced peak {peak / vector:.2f} vectors, "
-        f"resident growth {rss_growth / vector:.2f} vectors ({rss_growth / 2**20:.0f} MiB)"
+        f"resident growth {rss_growth / vector:.2f} vectors ({rss_growth / 2**20:.0f} MiB)",
+        flush=True,
     )
 
 
@@ -80,14 +86,15 @@ def main() -> int:
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1]))
     parser.add_argument("--policy", choices=POLICIES, help="profile this policy only")
     args = parser.parse_args()
-    if args.policy:
-        print(profile(args), flush=True)
-        return 0
-    for kind in POLICIES:  # a fresh process each, so peak RSS starts clean
-        argv = [sys.executable, __file__, str(args.n), "--src", args.src, "--policy", kind]
-        code = subprocess.run(argv).returncode
-        if code:
-            return code
+    # a fresh interpreter per profile, so peak RSS starts clean
+    spawn = multiprocessing.get_context("spawn")
+    for clauses in (True, False):
+        for kind in [args.policy] if args.policy else POLICIES:
+            child = spawn.Process(target=profile, args=(args.n, args.src, kind, clauses))
+            child.start()
+            child.join()
+            if child.exitcode:
+                return child.exitcode
     return 0
 
 
