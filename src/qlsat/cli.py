@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -122,9 +124,17 @@ def _policy_config(args: argparse.Namespace) -> dict:
 
 
 def _trial(
-    args: argparse.Namespace, n: int, m: int, problem: SatProblem | None
+    args: argparse.Namespace,
+    n: int,
+    m: int,
+    problem: SatProblem | None,
+    mixer_of: Callable[[int, int | None], MixerSpec],
 ) -> engine_mod.RunResult:
-    """One trial on the engine ``--engine`` names; the compact one needs no problem."""
+    """One trial on the engine ``--engine`` names; the compact one needs no problem.
+
+    ``mixer_of`` is the batch's ``_mixer_cache``, so the mixing weights a
+    spec builds on first use are built once per run of same-n trials.
+    """
     policy = _policy_from_args(args)
     if args.engine == "compact":
         return compact_mod.compact_run(
@@ -133,11 +143,20 @@ def _trial(
     return engine_mod.run_trial(
         problem,
         policy,
-        mixer=MixerSpec(n, args.alpha),
+        mixer=mixer_of(n, args.alpha),
         j_max=args.j_max,
         record_histograms=args.histograms,
         limit=args.full_limit,
     )
+
+
+def _mixer_cache() -> Callable[[int, int | None], MixerSpec]:
+    """MixerSpec(n, alpha), kept for the last (n, alpha) asked for only.
+
+    One per batch: its trials share the spec's mixing weights, and a batch
+    over several n holds no weights of an n it has moved on from.
+    """
+    return functools.lru_cache(maxsize=1)(MixerSpec)
 
 
 def _check_capacity(args: argparse.Namespace, ns) -> None:
@@ -249,7 +268,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
         meta["base_seed"] = args.seed
         meta["index"] = i
         soluble = None
-        if inst.planted is not None or spec.kind == "random-soluble":
+        if args.count_solutions:
+            soluble = inst.solution_count > 0
+        elif inst.planted is not None or spec.kind == "random-soluble":
             soluble = True
         elif args.check_soluble:
             soluble = backtrack_solve(inst.problem) is not None
@@ -319,7 +340,7 @@ def _load_instances(
     return items
 
 
-def _run_one(item, args, config) -> dict:
+def _run_one(item, args, config, mixer_of) -> dict:
     desc, source = item
     record: dict = {"record": "run", "config": config, "instance": desc}
     if "error" in desc:
@@ -333,7 +354,7 @@ def _run_one(item, args, config) -> dict:
             else:
                 inst = generate_instance(source)
                 problem, desc["planted"] = inst.problem, inst.planted
-        result = _trial(args, desc["n"], desc["m"], problem)
+        result = _trial(args, desc["n"], desc["m"], problem, mixer_of)
     except CapacityError:
         raise
     except Exception as exc:  # per-instance failures stay in the batch
@@ -380,7 +401,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     items = _load_instances(args)
     _check_capacity(args, (desc["n"] for desc, _ in items if "error" not in desc))
-    records = _map(lambda item: _run_one(item, args, config), items, args.threads)
+    mixer_of = _mixer_cache()
+    records = _map(lambda item: _run_one(item, args, config, mixer_of), items, args.threads)
     _emit(records, args.format, args.out)
     return EXIT_OK
 
@@ -412,20 +434,20 @@ def _sweep_points(args: argparse.Namespace) -> list[dict]:
 
 
 def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> dict:
-    """Fold the inline ``run`` batch of this point into one aggregate record."""
+    """Fold the inline ``run`` batch of this point into one aggregate record.
+
+    The batch has the point's one n, so its trials share one MixerSpec,
+    and the point drops it when it returns.
+    """
     record = {"record": "sweep-point", "config": config, "point": dict(point)}
-    trials = 1 if args.engine == "compact" else args.trials
-    record["point"]["trials"] = trials
+    record["point"]["trials"] = args.trials
     batch = argparse.Namespace(**{
         **vars(args),
         "instances": [],
         "seed": instance_seed_sequence(args.seed, point["index"]),
         "n": point["n"],
         "m": point["m"],
-        "trials": trials,
         "histograms": False,
-        # a compact point runs the shell engine only; it reports no instance
-        "ensemble": args.ensemble if args.engine == "full" else None,
     })
     try:
         items = _load_instances(batch)
@@ -433,8 +455,9 @@ def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> 
         record["error"] = f"{type(exc).__name__}: {exc}"
         return record
     results = []
+    mixer_of = _mixer_cache()
     for item in items:  # as in a run batch, but the first error ends the point
-        run = _run_one(item, batch, config)
+        run = _run_one(item, batch, config, mixer_of)
         if "error" in run:
             record["error"] = run["error"]
             return record
@@ -463,6 +486,11 @@ def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.engine == "compact":
         _check_compact_flags(args)
+        # a compact point is one shell-engine trial, which draws no instance
+        if args.ensemble is not None or args.planted is not None:
+            raise _UsageError("a compact sweep takes no --ensemble or --planted")
+        if args.trials != 1:
+            raise _UsageError("a compact sweep runs one trial per point")
     elif args.ensemble is None:
         raise _UsageError("a full-engine sweep needs --ensemble")
     config = {

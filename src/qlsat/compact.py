@@ -177,8 +177,8 @@ def compact_run(
     return evolve(
         "compact",
         phi,
-        (signs[: m + 1] for signs in sign_tables(resolved, n, m, j_max)),
-        lambda phi: v @ phi,
+        sign_tables(resolved, n, m, j_max),
+        lambda phi, signs: v @ (phi * signs[: m + 1]),
         lambda phi: float(phi[0] ** 2),
         histogram_of=np.square if record_histograms else None,
         state_of=state_of,

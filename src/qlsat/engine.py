@@ -7,6 +7,11 @@ imaginary part.  One step multiplies by the phase vector and mixes:
 
     x_next = U @ (signs_j * x)
 
+Both happen in place on the one state a trial holds.  The phase vector is
+never formed: each piece of READOUT_PIECE amplitudes is multiplied by the
+step's sign of each count value, gathered by that piece of the count
+table (``apply_signs``).
+
 Solution probability is read directly off the state (sum of squared
 amplitudes over satisfying assignments), never estimated by sampling.
 The search cost of stopping after j steps is j / p_soln(j); a trial
@@ -26,8 +31,9 @@ from .mixer import MixerSpec
 from .phases import PolicySpec, policy_table, resolve_policy, sign_tables
 from .sat import DEFAULT_FULL_LIMIT, SatProblem, check_full_capacity, conflict_vector
 
-# Assignments per piece of a readout (64 KiB of float64): the solution
-# and histogram readouts make temporaries of a few pieces, not of the state.
+# Assignments per piece of a readout or a sign flip (64 KiB of float64):
+# the solution and histogram readouts and the per-step sign gather make
+# temporaries of a few pieces, not of the state.
 READOUT_PIECE = 1 << 13
 
 
@@ -108,27 +114,26 @@ def select_best(p_soln_by_step: list[float]) -> tuple[int | None, float]:
 def evolve(
     engine: str,
     x: np.ndarray,
-    phases: Iterable[np.ndarray],
-    mix: Callable[[np.ndarray], np.ndarray],
+    signs: Iterable[np.ndarray],
+    step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     p_soln_of: Callable[[np.ndarray], float],
     histogram_of: Callable[[np.ndarray], np.ndarray] | None = None,
     state_of: Callable[[np.ndarray], object] | None = None,
 ) -> RunResult:
-    """The trial loop both engines run: per step, x = mix(phases_j * x).
+    """The trial loop both engines run: per step j, x = step(x, signs_j).
 
-    ``x`` is the start state and is multiplied in place, so a readout that
-    keeps the state must copy it.  Each phase vector is dropped before
-    ``mix`` runs, so at most one is alive at a time.  The readouts are
-    taken after every step and once before the first; the histogram and
-    state readouts are recorded only when given.
+    ``x`` is the start state.  ``signs`` yields, for each step, the sign of
+    every count value (``phases.sign_tables``), and ``step`` multiplies the
+    state by the signs of its entries' counts and mixes it.  A step may
+    work in place, so a readout that keeps the state must copy it.  The
+    readouts are taken after every step and once before the first; the
+    histogram and state readouts are recorded only when given.
     """
     probs = [p_soln_of(x)]
     hists = [histogram_of(x)] if histogram_of else None
     states = [state_of(x)] if state_of else None
-    for signs in phases:
-        x *= signs
-        del signs
-        x = mix(x)
+    for signs_j in signs:
+        x = step(x, signs_j)
         probs.append(p_soln_of(x))
         if histogram_of:
             hists.append(histogram_of(x))
@@ -144,6 +149,19 @@ def evolve(
         histograms=hists,
         states=states,
     )
+
+
+def apply_signs(x: np.ndarray, signs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """x *= signs[table] in place, one READOUT_PIECE of assignments at a time.
+
+    ``signs`` holds the sign of every count value and ``table`` each
+    assignment's count, so no 2**n phase vector and no 2**n gather index is
+    ever made, only one piece of each.  Returns x.
+    """
+    for lo in range(0, len(x), READOUT_PIECE):
+        hi = lo + READOUT_PIECE
+        x[lo:hi] *= np.take(signs, table[lo:hi])
+    return x
 
 
 def run_trial(
@@ -169,15 +187,12 @@ def run_trial(
 
     # the start state goes straight into the call: a local holding it would
     # keep one more 2**n vector alive for the whole trial.  evolve owns it,
-    # so it is mixed in place; each step's signs take one byte per entry
+    # so its signs are flipped and it is mixed in place
     return evolve(
         "full",
         init_uniform(problem.n, limit),
-        (
-            signs.astype(np.int8)[table]
-            for signs in sign_tables(resolved, problem.n, problem.m, j_max)
-        ),
-        lambda x: mixer_mod.apply_u(spec, x, inplace=True),
+        sign_tables(resolved, problem.n, problem.m, j_max),
+        lambda x, signs: mixer_mod.apply_u(spec, apply_signs(x, signs, table), inplace=True),
         solution_readout(conflicts),
         histogram_of=(
             (lambda x: conflict_histogram(x, conflicts, problem.m))

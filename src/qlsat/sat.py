@@ -16,6 +16,11 @@ import numpy as np
 # unless the caller raises the limit explicitly.
 DEFAULT_FULL_LIMIT = 26
 
+# Entries (float32) a conflict-table build may hold in its clause
+# indicators, and in one piece of their product, below n = 16; from there
+# up the bound is 2**n / 8 entries, 1/16 of a float64 state.
+TABLE_PIECE = 1 << 13
+
 
 class CapacityError(Exception):
     """Raised when a dense or full-state operation exceeds its size limit."""
@@ -90,24 +95,36 @@ def conflict_vector(
     """Conflict counts for all 2**n assignments, indexed by assignment.
 
     Returns a vector of length 2**n in the narrowest unsigned dtype that
-    holds m.  Each clause adds one to the strided sub-tensor of the
-    ``(2,) * n`` view that fixes its k bits (axis n-1-i holds bit i), so
-    no index vector is built.  Raises CapacityError when n exceeds
-    ``limit`` (pass None to disable the guard).
+    holds m.  Assignment s splits into its high n - n//2 bits and its low
+    n//2 bits, and clause c falsifies s exactly when it is falsified on
+    both halves, so the table, as a (2**(n - n//2), 2**(n//2)) grid, is the
+    product of two 0/1 matrices: ``hi[s_hi, c] @ lo[c, s_lo]``.  Clauses go
+    in groups and each group's product is added one piece of rows at a
+    time, so the temporaries stay within TABLE_PIECE or 2**n / 8 entries
+    for any m.  The float32 product is exact: its entries are integers no
+    larger than the group size, far below 2**24.  Raises CapacityError when
+    n exceeds ``limit`` (pass None to disable the guard).
     """
     check_full_capacity(problem.n, limit)
     n = problem.n
+    low = n // 2
     counts = np.zeros(1 << n, dtype=np.min_scalar_type(problem.m))
-    cube = counts.reshape((2,) * n)
-    free = [slice(None)] * n
-    for c in problem.clauses:
-        fixed = free.copy()
-        mask = c.mask
-        while mask:
-            i = (mask & -mask).bit_length() - 1
-            fixed[n - 1 - i] = (c.value >> i) & 1
-            mask &= mask - 1
-        cube[tuple(fixed)] += 1
+    grid = counts.reshape(-1, 1 << low)
+    budget = max(TABLE_PIECE, counts.size >> 3)
+    group = max(1, budget // (len(grid) + grid.shape[1]))
+    rows = max(1, budget >> low)
+    his = np.arange(len(grid), dtype=np.uint64)[:, None]
+    los = np.arange(grid.shape[1], dtype=np.uint64)
+    for first in range(0, problem.m, group):
+        part = problem.clauses[first : first + group]
+        mask = np.array([c.mask for c in part], dtype=np.uint64)
+        value = np.array([c.value for c in part], dtype=np.uint64)
+        # hi[s_hi, c] and lo[c, s_lo]: clause c is falsified on that half
+        hi = ((his & (mask >> low)) == (value >> low)).astype(np.float32)
+        low_value = value[:, None] & (grid.shape[1] - 1)
+        lo = ((los & mask[:, None]) == low_value).astype(np.float32)
+        for r in range(0, len(grid), rows):
+            grid[r : r + rows] += (hi[r : r + rows] @ lo).astype(counts.dtype)
     return counts
 
 

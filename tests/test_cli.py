@@ -1,12 +1,14 @@
 """Command-line behavior: records, formats, determinism, exit codes."""
 
 import argparse
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 from pathlib import Path
 
@@ -16,6 +18,7 @@ import pytest
 import qlsat.cli
 from qlsat.cli import build_parser, main
 from qlsat.generate import ENSEMBLE_KINDS, EnsembleSpec, generate, instance_seed_sequence
+from qlsat.mixer import MixerSpec
 from qlsat.sat import count_conflicts, from_dimacs
 
 REFERENCE_CNF = "p cnf 2 2\n-1 0\n-2 0\n"
@@ -318,6 +321,11 @@ def test_run_histograms_flag(capsys):
         ["run", "--ensemble", "max-constrained-1sat", "--n", "6", "--k", "3"],
         ["generate", "--out-dir", "x", "--ensemble", "max-constrained-1sat", "--n", "6",
          "--k", "3"],
+        # a compact sweep point is one shell-engine trial and draws no instance
+        ["sweep", "--axis", "n", "--values", "4", "--engine", "compact",
+         "--ensemble", "max-constrained-1sat"],
+        ["sweep", "--axis", "n", "--values", "4", "--engine", "compact", "--planted", "3"],
+        ["sweep", "--axis", "n", "--values", "4", "--engine", "compact", "--trials", "5"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys, tmp_path):
@@ -372,7 +380,25 @@ def test_generate_counts_solutions_for_every_ensemble(tmp_path, capsys, ensemble
         problem = from_dimacs(path.read_text())
         brute = sum(count_conflicts(problem, s) == 0 for s in range(1 << 6))
         assert record["solution_count"] == brute
-        assert json.loads(path.with_suffix(".json").read_text())["solution_count"] == brute
+        assert record["soluble"] == (brute > 0)
+        sidecar = json.loads(path.with_suffix(".json").read_text())
+        assert sidecar["solution_count"] == brute
+        assert sidecar["soluble"] == (brute > 0)
+
+
+@pytest.mark.parametrize("n,k,m,soluble", [(6, 3, 10, True), (2, 2, 4, False)])
+def test_counted_random_draws_say_whether_they_are_soluble(tmp_path, capsys, n, k, m, soluble):
+    # m = 4 at n = k = 2 forbids all four assignments
+    code, out, _ = run_cli(
+        capsys,
+        "generate", "--out-dir", str(tmp_path), "--ensemble", "random", "--n", str(n),
+        "--k", str(k), "--m", str(m), "--seed", "4", "--count-solutions",
+    )
+    assert code == 0
+    (record,) = jsonl(out)
+    assert (record["solution_count"] > 0) is soluble
+    assert record["soluble"] is soluble
+    assert json.loads((tmp_path / "inst-00000.json").read_text())["soluble"] is soluble
 
 
 def test_max_constrained_records_report_the_k_of_their_instances(capsys):
@@ -598,6 +624,47 @@ def test_thread_count_does_not_change_results(capsys):
     for rec in ones_ + twos:
         del rec["config"]["threads"]
     assert ones_ == twos
+
+
+def test_a_batch_builds_the_mixing_weights_once_per_n(capsys, monkeypatch, tmp_path):
+    built = []  # (n, weak reference to the spec) per build of the weights
+    held = []  # the n of each earlier spec still alive at a build
+    build = MixerSpec.__dict__["scaled_tau"].func
+
+    def counted(spec):
+        held.extend(n for n, ref in built if ref() is not None)
+        built.append((spec.n, weakref.ref(spec)))
+        return build(spec)
+
+    cached = functools.cached_property(counted)
+    cached.__set_name__(MixerSpec, "scaled_tau")
+    monkeypatch.setattr(MixerSpec, "scaled_tau", cached)
+
+    def builds(*argv):
+        built.clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and all("error" not in record for record in jsonl(out))
+        assert held == []  # a batch holds no weights of an n it has left
+        return [n for n, _ in built]
+
+    assert builds("run", "--ensemble", "random", "--n", "7", "--m", "14", "--trials", "3") == [7]
+    # one build per sweep point, also when the points share their n
+    assert builds(
+        "sweep", "--axis", "m-over-n", "--values", "2,3", "--n", "7",
+        "--ensemble", "random", "--trials", "2",
+    ) == [7, 7]
+    assert builds(
+        "sweep", "--axis", "n", "--values", "6,7,8", "--m-ratio", "2",
+        "--ensemble", "random", "--trials", "2",
+    ) == [6, 7, 8]
+    # a run over files of two n builds once per run of same-n files
+    for n in (6, 7):
+        run_cli(
+            capsys, "generate", "--out-dir", str(tmp_path / str(n)), "--ensemble", "random",
+            "--n", str(n), "--m", "12", "--trials", "2",
+        )
+    files = sorted(map(str, tmp_path.glob("*/*.cnf")))
+    assert builds("run", *files) == [6, 7]
 
 
 def test_environment_overrides(capsys, monkeypatch):

@@ -19,7 +19,15 @@ from qlsat.engine import (
 )
 from qlsat.generate import EnsembleSpec, generate, instance_seed_sequence
 from qlsat.mixer import MixerSpec, apply_u, dense_u
-from qlsat.phases import KIND_NEIGHBORHOOD, KIND_SIMPLE, PolicySpec, phase_schedule
+from qlsat.phases import (
+    KIND_NEIGHBORHOOD,
+    KIND_SIMPLE,
+    PolicySpec,
+    phase_schedule,
+    policy_table,
+    resolve_policy,
+    sign_tables,
+)
 from qlsat.sat import CapacityError, SatProblem, clause_from_literals, conflict_vector
 
 
@@ -57,7 +65,7 @@ def test_step_matches_dense_operator():
         "full",
         init_uniform(4),
         schedule,
-        lambda x: apply_u(spec, x),
+        lambda x, signs: apply_u(spec, signs * x),
         lambda x: 0.0,
         state_of=np.copy,
     )
@@ -216,6 +224,28 @@ def test_run_trial_matches_the_oracle_loop(kind, n):
     result = run_trial(problem, PolicySpec(kind))
     np.testing.assert_allclose(result.p_soln_by_step, probs, rtol=0, atol=1e-12)
     assert result.best_j == best_j
+
+
+@pytest.mark.parametrize("kind", [KIND_SIMPLE, KIND_NEIGHBORHOOD])
+def test_signs_applied_piece_by_piece_equal_one_whole_vector_gather(kind):
+    n = 15  # four pieces of READOUT_PIECE assignments
+    assert (1 << n) // READOUT_PIECE == 4
+    spec = EnsembleSpec(n=n, k=3, m=4 * n, kind="random-soluble", seed=15)
+    problem = generate(spec).problem
+    policy = resolve_policy(PolicySpec(kind), n, problem.m, problem.k)
+    conflicts = conflict_vector(problem)
+    table = policy_table(policy, conflicts)
+    mixer = MixerSpec(n)
+    whole = evolve(
+        "full",
+        init_uniform(n),
+        sign_tables(policy, n, problem.m),
+        lambda x, signs: apply_u(mixer, x * signs[table], inplace=True),
+        solution_readout(conflicts),
+    )
+    result = run_trial(problem, PolicySpec(kind))
+    assert result.steps == whole.steps > 1 and result.best_j is not None
+    assert result.p_soln_by_step == whole.p_soln_by_step
 
 
 @pytest.mark.parametrize("kind", [KIND_SIMPLE, KIND_NEIGHBORHOOD])

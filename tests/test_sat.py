@@ -1,11 +1,13 @@
 """Clause representation, conflict statistics, and DIMACS interchange."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from oracles import index_conflict_vector, index_n_better_vector, n_better
 
+from qlsat.generate import max_clauses
 from qlsat.sat import (
     CapacityError,
     ConflictPattern,
@@ -117,15 +119,41 @@ def test_better_neighbor_counts(seed):
         assert vec[s] == n_better(problem, s)
 
 
-@pytest.mark.parametrize("n,k,m", [(1, 1, 1), (5, 2, 20), (10, 3, 40), (13, 3, 52), (16, 3, 64)])
+@pytest.mark.parametrize(
+    "n,k,m",
+    [
+        (1, 1, 1), (5, 2, 20), (10, 3, 40), (13, 3, 52), (16, 3, 64),
+        # odd n: the high half of the index has one bit more than the low half
+        (7, 3, 28), (17, 3, 68),
+        (9, 3, 0), (12, 1, 20),
+        # uint16 tables, the second with the most clauses a soluble instance has
+        (9, 3, 300), (10, 3, max_clauses(10, 3)),
+    ],
+)
 def test_strided_tables_equal_the_index_vector_builds(n, k, m):
     problem = random_problem(n, k, m, seed=n)
     conflicts = conflict_vector(problem)
-    assert conflicts.dtype == np.uint8
+    assert conflicts.dtype == (np.uint8 if m < 256 else np.uint16)
     np.testing.assert_array_equal(conflicts, index_conflict_vector(problem))
     better = n_better_vector(conflicts)
     assert better.dtype == np.uint8
     np.testing.assert_array_equal(better, index_n_better_vector(problem))
+
+
+@pytest.mark.parametrize("m", [64, max_clauses(16, 3)])
+def test_conflict_table_build_holds_at_most_half_a_state_vector(m):
+    n = 16
+    problem = random_problem(n, 3, m, seed=m)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = conflict_vector(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # clause indicators and one piece of their product: 0.26 measured for
+    # both m; one indicator matrix of all 3920 clauses would be 8 vectors
+    assert (peak - base - table.nbytes) / (8 << n) <= 0.5
 
 
 def test_conflict_table_widens_past_255_clauses():

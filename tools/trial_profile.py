@@ -17,6 +17,11 @@ thread, and each child prints one line:
   vectors, measured from the memory held before the trial as the
   peak-memory test does.
 
+It then prints the median time, over REPEATS calls after one warm-up, of
+each layer of the trial on the same instance: ``conflict_vector``,
+``n_better_vector``, and one step, split into applying the first step's
+signs and ``apply_u``.
+
 ``--src`` profiles the checkout at DIR (its package is imported from
 DIR/src) instead of this one, so two checkouts can be compared.
 """
@@ -42,7 +47,13 @@ REPEATS = 5
 
 def profile(n: int, src: str, kind: str, clauses: bool) -> None:
     sys.path.insert(0, str(Path(src).resolve() / "src"))
+    import numpy as np
+
     from qlsat import EnsembleSpec, PolicySpec, SatProblem, generate, run_trial
+    from qlsat import engine
+    from qlsat.mixer import MixerSpec, apply_u
+    from qlsat.phases import policy_table, resolve_policy, sign_tables
+    from qlsat.sat import conflict_vector, n_better_vector
 
     if clauses:
         problem = generate(EnsembleSpec(n=n, k=3, m=4 * n, kind="random", seed=0)).problem
@@ -78,6 +89,43 @@ def profile(n: int, src: str, kind: str, clauses: bool) -> None:
         f"resident growth {rss_growth / vector:.2f} vectors ({rss_growth / 2**20:.0f} MiB)",
         flush=True,
     )
+
+    resolved = resolve_policy(policy, n, problem.m, problem.k)
+    conflicts = conflict_vector(problem)
+    table = policy_table(resolved, conflicts)
+    signs = next(sign_tables(resolved, n, problem.m))
+    spec, x = MixerSpec(n), engine.init_uniform(n)
+    # checkouts from before apply_signs gathered each step's signs whole
+    apply_signs = getattr(
+        engine, "apply_signs", lambda x, signs, table: x.__imul__(signs.astype(np.int8)[table])
+    )
+    times = {
+        name: median_ms(call)
+        for name, call in (
+            ("conflict_vector", lambda: conflict_vector(problem)),
+            ("n_better_vector", lambda: n_better_vector(conflicts)),
+            ("signs", lambda: apply_signs(x, signs, table)),
+            ("apply_u", lambda: apply_u(spec, x, inplace=True)),
+        )
+    }
+    print(
+        f"{'':<16} layers: conflict_vector {times['conflict_vector']:.2f} ms, "
+        f"n_better_vector {times['n_better_vector']:.2f} ms, "
+        f"one step {times['signs'] + times['apply_u']:.2f} ms "
+        f"(signs {times['signs']:.2f}, apply_u {times['apply_u']:.2f})",
+        flush=True,
+    )
+
+
+def median_ms(call) -> float:
+    """Median wall time of REPEATS calls, after one warm-up call, in ms."""
+    call()
+    walls = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        call()
+        walls.append(time.perf_counter() - start)
+    return statistics.median(walls) * 1e3
 
 
 def main() -> int:
