@@ -228,9 +228,27 @@ def _emit(records: list[dict], fmt: str, out: str) -> None:
             lines.append(",".join(_csv_cell(row.get(k, "")) for k in header))
         text = "\n".join(lines) + "\n" if rows else ""
     if out == "-":
-        sys.stdout.write(text)
+        _write_stdout(text)
     else:
         Path(out).write_text(text)
+
+
+def _write_stdout(text: str) -> None:
+    """Write text to stdout whole, or raise BrokenPipeError if the reader goes.
+
+    An unbuffered stdout (PYTHONUNBUFFERED) is a text layer over the raw
+    file, which drops the rest of a short write; so the bytes go to the
+    binary layer here, and a short write is followed by another write of
+    the rest, which meets the closed pipe as EPIPE.
+    """
+    stream = sys.stdout
+    if not hasattr(stream, "buffer"):  # an in-memory stream takes it all
+        stream.write(text)
+        return
+    stream.flush()
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        data = data[stream.buffer.write(data) :]
 
 
 def _csv_cell(value: str) -> str:

@@ -70,12 +70,13 @@ def _start_vector(m: int) -> tuple[np.ndarray, np.ndarray]:
 
     Each mantissa lies in [0.5, 1) and is the correctly rounded value of an
     80-bit integer square root.  The smallest starts, 2**(-m/2), leave the
-    normal float range from m = 2046, so the exponent is kept apart.
+    normal float range from m = 2046, so the exponent is kept apart.  Only
+    b <= m/2 is computed; the rest mirrors it, as comb(m, b) = comb(m, m - b).
     """
     mant = np.empty(m + 1)
     exp = np.empty(m + 1, dtype=np.int64)
     binom = 1
-    for b in range(m + 1):
+    for b in range(m // 2 + 1):
         # sqrt(binom / 2**m) = isqrt(binom * 2**(2s-m)) / 2**s with ~160 bits under the root
         s = (162 + m - binom.bit_length()) // 2
         shift = 2 * s - m
@@ -84,6 +85,8 @@ def _start_vector(m: int) -> tuple[np.ndarray, np.ndarray]:
         mant[b] = q / (1 << top)
         exp[b] = top - s
         binom = binom * (m - b) // (b + 1)
+    mant[m - m // 2 :] = mant[m // 2 :: -1]
+    exp[m - m // 2 :] = exp[m // 2 :: -1]
     return mant, exp
 
 
@@ -136,7 +139,13 @@ def build_v_scaled(n: int, m: int | None = None) -> np.ndarray:
     t = _scaled_shell_transform(m)
     # T symmetric and orthogonal: T D T = I - 2 F F^T, F the columns D negates
     flip = t[:, n // 2 + 1 :]
-    return np.eye(m + 1) - 2.0 * (flip @ flip.T)
+    # I - 2 F F^T in place, bit for bit: adding 0.0 turns -2 * 0.0 into the
+    # +0.0 that 0.0 - 2 * 0.0 gives, and 1.0 is added to the diagonal
+    v = flip @ flip.T
+    v *= -2.0
+    v += 0.0
+    v.flat[:: m + 2] += 1.0
+    return v
 
 
 def compact_run(

@@ -5,10 +5,10 @@ amplitude before mixing.  Two policies are provided:
 
 * ``simple-threshold``: at step j, invert assignments with strictly more
   than c_start - (j - 1) conflicts.  c_start defaults to the exact mean
-  conflict count m / 2**k and the threshold comparison is exact rational
-  arithmetic.  After floor(c_start) + 1 steps the threshold is negative,
-  every assignment is inverted, and relative amplitudes freeze, so that
-  is the step cap.
+  conflict count m / 2**k, and since counts are integers the threshold is
+  compared exactly as v > floor(c_start) - (j - 1).  After
+  floor(c_start) + 1 steps the threshold is negative, every assignment is
+  inverted, and relative amplitudes freeze, so that is the step cap.
 * ``neighborhood``: phases depend on how many single-flip neighbors
   improve an assignment.  At step 1, invert when |n_start - n_better|
   mod 4 is 2 or 3 (matching the sign of the mixing coefficient at that
@@ -18,10 +18,12 @@ amplitude before mixing.  Two policies are provided:
   odd n runs the same literal rule.
 
 Phases are functions of the instance and the step index only, never of
-the evolving amplitudes.  Signs are formed per step, when the step runs:
-the rule is evaluated in int64 on every value a count can take (0..m
-conflicts or 0..n better neighbors) and the result is gathered by each
-assignment's count, so no schedule of 2**n-entry vectors is held and a
+the evolving amplitudes.  Signs are formed a block of steps at a time, as
+the steps run: the rule is evaluated in int64 on every value a count can
+take (0..m conflicts or 0..n better neighbors) for every step of the
+block at once, and each step's row is gathered by each assignment's
+count.  So no schedule of 2**n-entry vectors is held, a block holds at
+most sat.TABLE_PIECE signs (or one step's, where that is wider), and a
 narrow unsigned count table never enters the rule's arithmetic.
 """
 
@@ -34,7 +36,13 @@ from math import floor
 
 import numpy as np
 
-from .sat import DEFAULT_FULL_LIMIT, SatProblem, conflict_vector, n_better_vector
+from .sat import (
+    DEFAULT_FULL_LIMIT,
+    TABLE_PIECE,
+    SatProblem,
+    conflict_vector,
+    n_better_vector,
+)
 
 KIND_SIMPLE = "simple-threshold"
 KIND_NEIGHBORHOOD = "neighborhood"
@@ -106,21 +114,30 @@ def sign_tables(
     Entry v of step j's table is the sign of an assignment whose count
     (conflicts, 0..m, or better neighbors, 0..n) is v; indexing it by
     ``policy_table`` gives that step's phase vector.  The rules are those
-    of the module docstring, evaluated in int64; the simple threshold
-    p/q = c_start - (j - 1) is compared exactly, as v * q > p.
+    of the module docstring, evaluated in int64 for a block of steps at a
+    time, each block at most TABLE_PIECE entries (one step per block when
+    a step is wider); the yielded rows are views of the block.  For
+    integer v the simple threshold v > c_start - (j - 1) is the same as
+    v > floor(c_start) - (j - 1).
     """
     steps = policy.max_steps if j_max is None else min(j_max, policy.max_steps)
     values = np.arange((m if policy.kind == KIND_SIMPLE else n) + 1, dtype=np.int64)
-    for j in range(1, steps + 1):
+    block = max(1, TABLE_PIECE // values.size)
+    if policy.kind == KIND_SIMPLE:
+        # a start past values.size + steps inverts nothing at any step, and
+        # neither does that cut, which keeps every threshold in int64
+        top = min(floor(policy.c_start), values.size + steps)
+    else:
+        d = policy.n_start - values
+    for lo in range(0, steps, block):
+        lag = np.arange(lo, min(lo + block, steps), dtype=np.int64)[:, None]  # j - 1
         if policy.kind == KIND_SIMPLE:
-            t = policy.c_start - (j - 1)
-            invert = values * t.denominator > t.numerator
-        elif j == 1:
-            invert = np.abs(policy.n_start - values) % 4 >= 2
+            invert = values > top - lag
         else:
-            d = policy.n_start - values
-            invert = (d != j - 1) & (d != j - 2)
-        yield np.where(invert, -1.0, 1.0)
+            invert = (d != lag) & (d != lag - 1)
+            if lo == 0:
+                invert[0] = np.abs(d) % 4 >= 2
+        yield from np.where(invert, -1.0, 1.0)
 
 
 def phase_schedule(

@@ -4,9 +4,11 @@
 ``index_conflict_vector`` and ``index_n_better_vector`` build the conflict
 and better-neighbor tables from a full index vector, one gather per bit;
 the package computes the same by radix-16 matmul passes and strided views.
-``oracle_schedule`` gathers the phase rule's sign tables by the int64
-tables for every step up front, ``tau_vector`` gives the mixing weight's
-sign by Hamming weight, and ``oracle_trial`` evolves a trial from these.
+``step_sign_tables`` evaluates the phase rule one step at a time, with the
+simple threshold compared in exact rational arithmetic as v * q > p;
+``oracle_schedule`` gathers its tables by the int64 tables for every step
+up front, ``tau_vector`` gives the mixing weight's sign by Hamming weight,
+and ``oracle_trial`` evolves a trial from these.
 
 ``n_better`` counts improving single flips of one assignment by direct
 evaluation; ``s_coefficient`` sums the transform kernel term by term, and
@@ -16,6 +18,8 @@ transform and shell mixing matrix of maximal 1-SAT from exact integers;
 ``initial_compact`` and ``compact_histogram`` give the uniform shell state
 and a state's probability by shell.
 
+``start_vector`` is the shell start sqrt(comb(m, b) / 2**m) from one
+big-integer square root per shell, b = 0..m, with no mirror.
 ``exact_scaled_shell_transform`` builds the orthogonal shell transform from
 exact big-integer Krawtchouk rows, one correctly rounded square root per
 entry.  It is O(m**2) Python big-integer work and converts integers of
@@ -31,7 +35,7 @@ import numpy as np
 from qlsat.compact import CompactState, shell_weights
 from qlsat.engine import select_best
 from qlsat.mixer import DEFAULT_DENSE_LIMIT, MixerSpec, kernel_rows, popcounts, u_numerators
-from qlsat.phases import KIND_SIMPLE, PolicySpec, resolve_policy, sign_tables
+from qlsat.phases import KIND_SIMPLE, PolicySpec, ResolvedPolicy, resolve_policy
 from qlsat.sat import (
     DEFAULT_FULL_LIMIT,
     CapacityError,
@@ -131,6 +135,21 @@ def _int_ratio_sqrt(num: int, den: int) -> float:
     return math.sqrt(num / den)
 
 
+def start_vector(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(comb(m, b) / 2**m) for b = 0..m as mantissa * 2**exponent, per b."""
+    mant = np.empty(m + 1)
+    exp = np.empty(m + 1, dtype=np.int64)
+    for b in range(m + 1):
+        binom = comb(m, b)
+        s = (162 + m - binom.bit_length()) // 2
+        shift = 2 * s - m
+        q = math.isqrt(binom << shift if shift >= 0 else binom >> -shift)
+        top = q.bit_length()
+        mant[b] = q / (1 << top)
+        exp[b] = top - s
+    return mant, exp
+
+
 def exact_scaled_shell_transform(m: int) -> np.ndarray:
     """Orthogonal form of the shell transform over m constrained variables.
 
@@ -198,14 +217,34 @@ def index_n_better_vector(
     return better
 
 
+def step_sign_tables(
+    policy: ResolvedPolicy, n: int, m: int, j_max: int | None = None
+) -> list[np.ndarray]:
+    """Sign of every count value for steps 1..min(j_max, cap), step by step."""
+    steps = policy.max_steps if j_max is None else min(j_max, policy.max_steps)
+    values = np.arange((m if policy.kind == KIND_SIMPLE else n) + 1, dtype=np.int64)
+    tables = []
+    for j in range(1, steps + 1):
+        if policy.kind == KIND_SIMPLE:
+            t = policy.c_start - (j - 1)
+            invert = values * t.denominator > t.numerator
+        elif j == 1:
+            invert = np.abs(policy.n_start - values) % 4 >= 2
+        else:
+            d = policy.n_start - values
+            invert = (d != j - 1) & (d != j - 2)
+        tables.append(np.where(invert, -1.0, 1.0))
+    return tables
+
+
 def oracle_schedule(problem: SatProblem, spec: PolicySpec) -> list[np.ndarray]:
-    """Phase vectors for every step: the sign tables gathered by the int64 tables."""
+    """Phase vectors for every step: the step sign tables gathered by the int64 tables."""
     policy = resolve_policy(spec, problem.n, problem.m, problem.k)
     if policy.kind == KIND_SIMPLE:
         table = index_conflict_vector(problem)
     else:
         table = index_n_better_vector(problem)
-    return [signs[table] for signs in sign_tables(policy, problem.n, problem.m)]
+    return [signs[table] for signs in step_sign_tables(policy, problem.n, problem.m)]
 
 
 def tau_vector(spec: MixerSpec) -> np.ndarray:

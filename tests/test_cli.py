@@ -434,6 +434,8 @@ def test_planted_value_on_a_sweep_of_random_instances_is_a_point_error(capsys):
         (["verify"], None, 0),  # a buffered report, written only when the command ends
         # one write larger than the pipe holds, through a buffered stdout
         (["run", "--ensemble", "random", "--n", "4", "--m", "2", "--trials", "300"], None, 1),
+        # the same write cut short by the pipe through an unbuffered stdout
+        (["run", "--ensemble", "random", "--n", "4", "--m", "2", "--trials", "300"], "1", 1),
     ],
 )
 def test_a_closed_pipe_ends_quietly(argv, unbuffered, lines_read):

@@ -14,6 +14,7 @@ from oracles import (
     compact_histogram,
     exact_scaled_shell_transform,
     initial_compact,
+    start_vector,
 )
 from qlsat.compact import CompactState, build_v_scaled, compact_run, shell_weights
 from qlsat.engine import run_trial
@@ -235,6 +236,22 @@ def test_compact_weights_match_binomial_shells():
 def test_float_shell_transform_matches_the_exact_build(m):
     built = qlsat.compact._scaled_shell_transform(m)
     np.testing.assert_allclose(built, exact_scaled_shell_transform(m), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 300, 2046, 2047, 2100])
+def test_mirrored_start_vector_equals_the_per_shell_loop(m):
+    # odd and even m, and from m = 2046 on starts below the normal range
+    mant, exp = qlsat.compact._start_vector(m)
+    want_mant, want_exp = start_vector(m)
+    assert np.array_equal(mant, want_mant) and np.array_equal(exp, want_exp)
+
+
+@pytest.mark.parametrize("n,m", [(8, 3), (100, 100), (301, 150)])
+def test_shell_matrix_built_in_place_has_the_bits_of_the_plain_formula(n, m):
+    # at (8, 3) no column is negated and V is the identity, zeros and all
+    flip = qlsat.compact._scaled_shell_transform(m)[:, n // 2 + 1 :]
+    want = np.eye(m + 1) - 2.0 * (flip @ flip.T)
+    assert build_v_scaled(n, m).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [100, 300, 600])

@@ -271,3 +271,24 @@ def test_run_trial_peak_is_at_most_2_5_state_vectors(case, kind):
     # transform and readout blocks: 2.13-2.27 measured over these cases;
     # one more state held for the whole trial reads 3.13-3.27
     assert (peak - base) / (8 << n) <= 2.5
+
+
+def test_peak_stays_at_2_5_state_vectors_over_many_steps_of_wide_sign_tables():
+    # m = 3920 gives 3921 count values and 491 simple-threshold steps: the
+    # signs of all steps at once would be 15 MB, 30 state vectors at n = 16
+    n = 16
+    problem = generate(EnsembleSpec(n=n, k=3, m=3920, kind="random", seed=16)).problem
+    policy = PolicySpec(KIND_SIMPLE)
+    assert resolve_policy(policy, n, problem.m, problem.k).max_steps == 491
+    run_trial(problem, policy, j_max=1)  # warm-up: lazily built shared tables
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = run_trial(problem, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.steps == 491
+    # 2.48 measured: the bound of the test above, reached here by the
+    # two-byte conflict table and one 64 KiB block of signs held in a step
+    assert (peak - base) / (8 << n) <= 2.5

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import index_conflict_vector, oracle_schedule, oracle_trial
+from oracles import index_conflict_vector, oracle_schedule, oracle_trial, step_sign_tables
 
 from qlsat.engine import run_trial
 from qlsat.generate import EnsembleSpec, generate
@@ -133,6 +133,49 @@ def test_sign_tables_span_the_count_range_of_the_policy():
     # step 2 keeps n_start - v in {1, 0}, so v in {1, 2}
     np.testing.assert_array_equal(tables[1], [-1, 1, 1, -1])
     assert all(t.dtype == np.float64 for t in tables)
+
+
+SIMPLE, NEIGHBORHOOD = PolicySpec(KIND_SIMPLE), PolicySpec(KIND_NEIGHBORHOOD)
+
+
+@pytest.mark.parametrize(
+    "spec, n, m, k, j_max",
+    [
+        # 3921 count values: two steps per block, 491 steps over 246 blocks
+        pytest.param(SIMPLE, 16, 3920, 3, None, id="blocks-of-two-steps"),
+        # 27 steps per block: j_max ends the second block early, or yields nothing
+        pytest.param(SIMPLE, 300, 300, 1, 40, id="j_max-inside-a-block"),
+        pytest.param(NEIGHBORHOOD, 300, 300, 1, 40, id="nbr-j_max-inside"),
+        pytest.param(SIMPLE, 300, 300, 1, 0, id="j_max-zero"),
+        pytest.param(NEIGHBORHOOD, 300, 300, 1, 0, id="nbr-j_max-zero"),
+        pytest.param(
+            PolicySpec(KIND_SIMPLE, c_start=Fraction(9, 2)), 10, 40, 3, None,
+            id="c_start-nine-halves",
+        ),
+        # floor(c_start) is past int64; j_max keeps the run short
+        pytest.param(
+            PolicySpec(KIND_SIMPLE, c_start=Fraction(10**30 + 1, 3)), 10, 40, 3, 5,
+            id="c_start-past-int64",
+        ),
+        pytest.param(
+            PolicySpec(KIND_NEIGHBORHOOD, n_start=3), 10, 40, 3, None, id="n_start-3"
+        ),
+        pytest.param(
+            PolicySpec(KIND_NEIGHBORHOOD, n_start=300), 10, 40, 3, None, id="n_start-above-n"
+        ),
+        # the compact engine's shapes: k = 1 with m < n constrained variables
+        pytest.param(SIMPLE, 300, 120, 1, None, id="compact-simple-m-below-n"),
+        pytest.param(NEIGHBORHOOD, 300, 120, 1, None, id="compact-nbr-m-below-n"),
+    ],
+)
+def test_block_sign_tables_equal_the_step_by_step_rule(spec, n, m, k, j_max):
+    policy = resolve_policy(spec, n=n, m=m, k=k)
+    got = list(sign_tables(policy, n, m, j_max))
+    want = step_sign_tables(policy, n, m, j_max)
+    assert len(got) == len(want)
+    for step, (a, b) in enumerate(zip(got, want), start=1):
+        assert a.dtype == np.float64, step
+        np.testing.assert_array_equal(a, b, err_msg=f"step {step}")
 
 
 def two_negated_units() -> SatProblem:

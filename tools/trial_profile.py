@@ -1,6 +1,6 @@
-"""Wall time and memory of one full-engine trial, per policy and instance.
+"""Wall time and memory of one trial, per policy and instance.
 
-    python tools/trial_profile.py N [--src DIR]
+    python tools/trial_profile.py N [--src DIR] [--compact]
 
 Profiles two instances with n = N: one random 3-SAT draw with m = 4N
 clauses (seed 0), and the instance with no clauses.  There every
@@ -21,6 +21,13 @@ It then prints the median time, over REPEATS calls after one warm-up, of
 each layer of the trial on the same instance: ``conflict_vector``,
 ``n_better_vector``, and one step, split into applying the first step's
 signs and ``apply_u``.
+
+``--compact`` profiles ``compact_run(N)`` on the shell-space engine
+instead, one child per policy.  Each prints the median time, over
+COMPACT_REPEATS calls after one warm-up, of each layer of the run: the start vector, the
+shell transform (which builds its own start vector), the V product (the
+build of V from a ready transform), all the sign tables, the matvec steps
+with their readouts, and the whole run.
 
 ``--src`` profiles the checkout at DIR (its package is imported from
 DIR/src) instead of this one, so two checkouts can be compared.
@@ -43,6 +50,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 POLICIES = ("simple-threshold", "neighborhood")
 REPEATS = 5
+COMPACT_REPEATS = 25  # compact layers take milliseconds, so take more samples
 
 
 def profile(n: int, src: str, kind: str, clauses: bool) -> None:
@@ -117,11 +125,58 @@ def profile(n: int, src: str, kind: str, clauses: bool) -> None:
     )
 
 
-def median_ms(call) -> float:
-    """Median wall time of REPEATS calls, after one warm-up call, in ms."""
+def profile_compact(n: int, src: str, kind: str) -> None:
+    sys.path.insert(0, str(Path(src).resolve() / "src"))
+    import numpy as np
+
+    from qlsat import PolicySpec, compact
+    from qlsat.phases import resolve_policy, sign_tables
+
+    policy = PolicySpec(kind)
+    resolved = resolve_policy(policy, n, n, 1)
+    t = compact._scaled_shell_transform(n)
+    v = compact.build_v_scaled(n)
+    start = np.ldexp(*compact._start_vector(n))
+    tables = list(sign_tables(resolved, n, n))
+
+    def v_product():
+        # build_v_scaled on the ready transform: only its own work is timed
+        build = compact._scaled_shell_transform
+        compact._scaled_shell_transform = lambda m: t
+        try:
+            compact.build_v_scaled(n)
+        finally:
+            compact._scaled_shell_transform = build
+
+    def steps():
+        phi = start.copy()
+        for signs in tables:
+            phi = v @ (phi * signs[: n + 1])
+            float(phi[0] ** 2)
+
+    times = {
+        name: median_ms(call, COMPACT_REPEATS)
+        for name, call in (
+            ("start vector", lambda: compact._start_vector(n)),
+            ("shell transform", lambda: compact._scaled_shell_transform(n)),
+            ("V product", v_product),
+            ("sign tables", lambda: sum(1 for _ in sign_tables(resolved, n, n))),
+            ("steps", steps),
+            ("run", lambda: compact.compact_run(n, policy)),
+        )
+    }
+    print(
+        f"{kind:<16} compact n={n} ({len(tables)} steps): "
+        + ", ".join(f"{name} {ms:.3f} ms" for name, ms in times.items()),
+        flush=True,
+    )
+
+
+def median_ms(call, repeats: int = REPEATS) -> float:
+    """Median wall time of ``repeats`` calls, after one warm-up call, in ms."""
     call()
     walls = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
         call()
         walls.append(time.perf_counter() - start)
@@ -133,16 +188,27 @@ def main() -> int:
     parser.add_argument("n", type=int)
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1]))
     parser.add_argument("--policy", choices=POLICIES, help="profile this policy only")
+    parser.add_argument(
+        "--compact", action="store_true", help="profile compact_run(N) layer by layer"
+    )
     args = parser.parse_args()
+    kinds = [args.policy] if args.policy else POLICIES
+    if args.compact:
+        jobs = [(profile_compact, (args.n, args.src, kind)) for kind in kinds]
+    else:
+        jobs = [
+            (profile, (args.n, args.src, kind, clauses))
+            for clauses in (True, False)
+            for kind in kinds
+        ]
     # a fresh interpreter per profile, so peak RSS starts clean
     spawn = multiprocessing.get_context("spawn")
-    for clauses in (True, False):
-        for kind in [args.policy] if args.policy else POLICIES:
-            child = spawn.Process(target=profile, args=(args.n, args.src, kind, clauses))
-            child.start()
-            child.join()
-            if child.exitcode:
-                return child.exitcode
+    for target, job_args in jobs:
+        child = spawn.Process(target=target, args=job_args)
+        child.start()
+        child.join()
+        if child.exitcode:
+            return child.exitcode
     return 0
 
 
