@@ -8,7 +8,7 @@ Hamming-distance kernel.  A shell-space engine reproduces the planted
 generation, trial runs, parameter sweeps, and self-verification.
 """
 
-from .compact import CompactState, build_v_scaled, compact_run
+from .compact import build_v_scaled, compact_run
 from .engine import RunResult, run_trial
 from .generate import (
     EnsembleSpec,
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "CompactState",
     "ConflictPattern",
     "EnsembleSpec",
     "GeneratedInstance",

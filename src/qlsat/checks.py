@@ -100,19 +100,19 @@ def _shell_coefficient_signs(alpha, dense_limit):
 
 
 def _norm_drift(alpha, dense_limit):
-    worst = 0.0
+    # a step's histogram, its probability by conflict count, sums to |x|**2
+    hists = []
     for n, m in ((10, 40), (12, 48)):
         spec = EnsembleSpec(n=n, k=3, m=m, kind="random", seed=instance_seed_sequence(23, n))
         problem = gen_random(spec).problem
         for kind in POLICY_KINDS:
             result = engine_mod.run_trial(
-                problem, PolicySpec(kind), mixer=MixerSpec(n, alpha), record_states=True
+                problem, PolicySpec(kind), mixer=MixerSpec(n, alpha), record_histograms=True
             )
-            for state in result.states:
-                worst = max(worst, abs(float(np.sum(state**2)) - 1.0))
-    comp = compact_mod.compact_run(300, PolicySpec("neighborhood"), record_states=True)
-    for state in comp.states:
-        worst = max(worst, abs(state.shell_norm() - 1.0))
+            hists += result.histograms
+    comp = compact_mod.compact_run(300, PolicySpec("neighborhood"), record_histograms=True)
+    hists += comp.histograms
+    worst = max(abs(float(np.sum(hist)) - 1.0) for hist in hists)
     yield "norm-drift", worst < 1e-10, f"max per-step |norm - 1| = {worst:.2e} (bound 1e-10)"
 
 

@@ -429,6 +429,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sweep_points(args: argparse.Namespace) -> list[dict]:
+    """The points of the axis; a sizing flag the axis does not read is refused."""
+    if args.axis == "n":
+        if args.n is not None:
+            raise _UsageError("axis n takes n from --values, not --n")
+        if args.m is not None and args.m_ratio is not None:
+            raise _UsageError("give --m or --m-ratio, not both")
+    elif args.n is None:
+        raise _UsageError("axis m-over-n needs a fixed --n")
+    elif args.m is not None or args.m_ratio is not None:
+        raise _UsageError("axis m-over-n takes m from --values, not --m or --m-ratio")
     values = _parse_values(args.values)
     points = []
     for idx, value in enumerate(values):
@@ -443,8 +453,6 @@ def _sweep_points(args: argparse.Namespace) -> list[dict]:
             else:
                 m = n  # planted 1-SAT default: one clause per variable
         else:
-            if args.n is None:
-                raise _UsageError("axis m-over-n needs a fixed --n")
             n = args.n
             m = round(float(value) * n)
         points.append({"index": idx, "axis": args.axis, "value": float(value), "n": n, "m": m})
@@ -631,6 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "trials", 0) < 0:
+            raise _UsageError(f"--trials must be 0 or more, got {args.trials}")
         if "k" in args and args.k is None:  # verify has no --k, generate no --engine
             compact = getattr(args, "engine", None) == "compact"
             args.k = 1 if compact or args.ensemble == "max-constrained-1sat" else 3

@@ -15,12 +15,11 @@ The same collapse works for 1-SAT with m < n constrained variables
 (shells indexed 0..m); the diagonal then keeps the full problem's weight
 threshold floor(n/2), which makes V the identity whenever m <= n/2.
 
-Internally the engine evolves scaled amplitudes phi_c = psi_c * sqrt(w_c),
-where w_c = comb(m, c) * 2**(n-m) counts the assignments in shell c.  In
-those coordinates the mixing matrix is orthogonal with entries bounded by
-one, so norms survive to n in the thousands; the raw per-assignment
-amplitudes psi_c are recovered on demand, as long as every w_c fits a
-float (n below about 1030).
+The engine evolves scaled amplitudes phi_c = psi_c * sqrt(w_c), where
+psi_c is the amplitude of each assignment in shell c and
+w_c = comb(m, c) * 2**(n-m) counts them.  In those coordinates the mixing
+matrix is orthogonal with entries bounded by one, so norms survive to n
+in the thousands, and phi_c**2 is the probability of shell c.
 
 The orthogonal shell transform is built in float64 by the three-term
 recurrence of the orthonormal Krawtchouk functions, vectorised over all
@@ -35,32 +34,11 @@ gate them at 1e-14.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from .engine import RunResult, evolve
 from .phases import PolicySpec, resolve_policy, sign_tables
-
-
-@dataclass
-class CompactState:
-    """Per-assignment amplitudes by conflict count, for shells 0..m."""
-
-    n: int
-    m: int
-    amps: np.ndarray
-
-    def shell_norm(self) -> float:
-        """Total probability: sum over shells of w_c * amps[c]**2."""
-        return float(np.sum(shell_weights(self.n, self.m) * self.amps**2))
-
-
-def shell_weights(n: int, m: int) -> np.ndarray:
-    """Number of assignments in each shell: comb(m, c) * 2**(n-m)."""
-    return np.array([float(comb(m, c) << (n - m)) for c in range(m + 1)])
-
 
 _RESCALE_BITS = 512
 
@@ -154,13 +132,13 @@ def compact_run(
     j_max: int | None = None,
     m: int | None = None,
     record_histograms: bool = False,
-    record_states: bool = False,
 ) -> RunResult:
     """Shell-space trial on the planted 1-SAT instance with m constraints.
 
     Matches the full engine on the same instance step for step; solution
     probability is the squared scaled amplitude of the zero-conflict
-    shell.  m defaults to n (the fully constrained case).
+    shell, and the histogram of a step is every shell's squared scaled
+    amplitude.  m defaults to n (the fully constrained case).
     """
     m = n if m is None else m
     if not 1 <= m <= n:
@@ -170,17 +148,6 @@ def compact_run(
     # scaled initial state phi_c = sqrt(w_c / 2**n) = sqrt(comb(m,c) / 2**m),
     # the same start vector as column 0 of the shell transform
     phi = np.ldexp(*_start_vector(m))
-    state_of = None
-    if record_states:
-        # phi = g * psi with g_c = sqrt(w_c) = sqrt(2**n * phi_c**2)
-        with np.errstate(over="ignore"):
-            g = np.sqrt(np.ldexp(phi**2, n))
-        if not np.isfinite(g).all():
-            raise ValueError(f"record_states: shell weights overflow float64 at n={n}")
-
-        def state_of(phi: np.ndarray) -> CompactState:
-            return CompactState(n, m, phi / g)
-
     # shell c has c conflicts and c better neighbors, so its sign is entry c
     # of the step's sign table
     return evolve(
@@ -190,5 +157,4 @@ def compact_run(
         lambda phi, signs: v @ (phi * signs[: m + 1]),
         lambda phi: float(phi[0] ** 2),
         histogram_of=np.square if record_histograms else None,
-        state_of=state_of,
     )

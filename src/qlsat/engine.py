@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,9 @@ class RunResult:
 
     ``p_soln_by_step[j]`` is the solution probability after step j, with
     index 0 the uniform initial state.  ``best_cost`` is infinite when no
-    step puts any amplitude on a solution.
+    step puts any amplitude on a solution.  ``histograms[j]``, when
+    recorded, is the probability by conflict count after step j; it sums
+    to the squared norm of the state.
     """
 
     engine: str
@@ -51,7 +53,6 @@ class RunResult:
     best_j: int | None
     best_cost: float
     histograms: list[np.ndarray] | None = None
-    states: list[np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def steps(self) -> int:
@@ -118,7 +119,6 @@ def evolve(
     step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     p_soln_of: Callable[[np.ndarray], float],
     histogram_of: Callable[[np.ndarray], np.ndarray] | None = None,
-    state_of: Callable[[np.ndarray], object] | None = None,
 ) -> RunResult:
     """The trial loop both engines run: per step j, x = step(x, signs_j).
 
@@ -127,18 +127,15 @@ def evolve(
     state by the signs of its entries' counts and mixes it.  A step may
     work in place, so a readout that keeps the state must copy it.  The
     readouts are taken after every step and once before the first; the
-    histogram and state readouts are recorded only when given.
+    histogram readout is recorded only when given.
     """
     probs = [p_soln_of(x)]
     hists = [histogram_of(x)] if histogram_of else None
-    states = [state_of(x)] if state_of else None
     for signs_j in signs:
         x = step(x, signs_j)
         probs.append(p_soln_of(x))
         if histogram_of:
             hists.append(histogram_of(x))
-        if state_of:
-            states.append(state_of(x))
 
     best_j, best_cost = select_best(probs)
     return RunResult(
@@ -147,7 +144,6 @@ def evolve(
         best_j=best_j,
         best_cost=best_cost,
         histograms=hists,
-        states=states,
     )
 
 
@@ -170,7 +166,6 @@ def run_trial(
     mixer: MixerSpec | None = None,
     j_max: int | None = None,
     record_histograms: bool = False,
-    record_states: bool = False,
     limit: int | None = DEFAULT_FULL_LIMIT,
 ) -> RunResult:
     """Evolve an instance for up to min(j_max, policy cap) steps.
@@ -199,5 +194,4 @@ def run_trial(
             if record_histograms
             else None
         ),
-        state_of=np.copy if record_states else None,
     )

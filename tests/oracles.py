@@ -14,9 +14,11 @@ and ``oracle_trial`` evolves a trial from these.
 evaluation; ``s_coefficient`` sums the transform kernel term by term, and
 ``dense_w_hat`` writes the transform out as a dense matrix.
 ``build_w_max``, ``build_d_max`` and ``build_v_max`` build the raw shell
-transform and shell mixing matrix of maximal 1-SAT from exact integers;
-``initial_compact`` and ``compact_histogram`` give the uniform shell state
-and a state's probability by shell.
+transform and shell mixing matrix of maximal 1-SAT from exact integers.
+``CompactState`` holds the raw per-assignment amplitude of each shell and
+``shell_weights`` the number of assignments in it; ``initial_compact`` and
+``compact_histogram`` give the uniform shell state and a state's
+probability by shell.
 
 ``start_vector`` is the shell start sqrt(comb(m, b) / 2**m) from one
 big-integer square root per shell, b = 0..m, with no mirror.
@@ -28,11 +30,11 @@ builds the same matrix by a float recurrence instead.
 """
 
 import math
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from qlsat.compact import CompactState, shell_weights
 from qlsat.engine import select_best
 from qlsat.mixer import DEFAULT_DENSE_LIMIT, MixerSpec, kernel_rows, popcounts, u_numerators
 from qlsat.phases import KIND_SIMPLE, PolicySpec, ResolvedPolicy, resolve_policy
@@ -71,6 +73,24 @@ def dense_w_hat(n: int, limit: int | None = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     idx = np.arange(1 << n)
     overlap = popcounts(n)[idx[:, None] & idx[None, :]]
     return np.where(overlap & 1, -1.0, 1.0)
+
+
+@dataclass
+class CompactState:
+    """Per-assignment amplitudes by conflict count, for shells 0..m."""
+
+    n: int
+    m: int
+    amps: np.ndarray
+
+    def shell_norm(self) -> float:
+        """Total probability: sum over shells of w_c * amps[c]**2."""
+        return float(np.sum(shell_weights(self.n, self.m) * self.amps**2))
+
+
+def shell_weights(n: int, m: int) -> np.ndarray:
+    """Number of assignments in each shell: comb(m, c) * 2**(n-m)."""
+    return np.array([float(comb(m, c) << (n - m)) for c in range(m + 1)])
 
 
 def initial_compact(n: int, m: int | None = None) -> CompactState:

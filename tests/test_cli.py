@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 import qlsat.cli
+import qlsat.compact
+import qlsat.mixer
 from qlsat.cli import build_parser, main
 from qlsat.generate import ENSEMBLE_KINDS, EnsembleSpec, generate, instance_seed_sequence
 from qlsat.mixer import MixerSpec
@@ -326,6 +328,19 @@ def test_run_histograms_flag(capsys):
          "--ensemble", "max-constrained-1sat"],
         ["sweep", "--axis", "n", "--values", "4", "--engine", "compact", "--planted", "3"],
         ["sweep", "--axis", "n", "--values", "4", "--engine", "compact", "--trials", "5"],
+        # a sizing flag the sweep axis does not read
+        ["sweep", "--axis", "m-over-n", "--values", "3", "--n", "8", "--m", "7",
+         "--m-ratio", "9", "--ensemble", "random"],
+        ["sweep", "--axis", "n", "--values", "6", "--n", "8", "--ensemble", "random",
+         "--m", "12"],
+        ["sweep", "--axis", "n", "--values", "6", "--m", "12", "--m-ratio", "2",
+         "--ensemble", "random"],
+        # a negative trial count
+        ["generate", "--out-dir", "x", "--ensemble", "random", "--n", "5", "--m", "4",
+         "--trials", "-1"],
+        ["run", "--ensemble", "random", "--n", "8", "--m", "20", "--trials", "-3"],
+        ["sweep", "--axis", "n", "--values", "6", "--ensemble", "random", "--m", "12",
+         "--trials", "-2"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys, tmp_path):
@@ -489,6 +504,22 @@ def test_verify_flags_an_injected_fault(capsys):
     # the operator stays orthogonal under any split point
     assert any(line.startswith("PASS unitarity") for line in lines)
     assert any(line.startswith("SKIP") for line in lines)
+
+
+@pytest.mark.parametrize("engine", ["full", "compact"])
+def test_verify_flags_norm_drift_in_either_engine(capsys, monkeypatch, engine):
+    # every step of one engine scales the state by 1 + 1e-8
+    grow = 1 + 1e-8
+    if engine == "full":
+        apply_u = qlsat.mixer.apply_u
+        monkeypatch.setattr(qlsat.mixer, "apply_u", lambda *a, **kw: apply_u(*a, **kw) * grow)
+    else:
+        build = qlsat.compact.build_v_scaled
+        monkeypatch.setattr(qlsat.compact, "build_v_scaled", lambda n, m: build(n, m) * grow)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 2
+    (row,) = [line for line in out.splitlines() if "norm-drift" in line]
+    assert row.startswith("FAIL norm-drift")
 
 
 def test_verify_refuses_a_dense_limit_above_the_library_guard(capsys):

@@ -14,9 +14,10 @@ from oracles import (
     compact_histogram,
     exact_scaled_shell_transform,
     initial_compact,
+    shell_weights,
     start_vector,
 )
-from qlsat.compact import CompactState, build_v_scaled, compact_run, shell_weights
+from qlsat.compact import build_v_scaled, compact_run
 from qlsat.engine import run_trial
 from qlsat.generate import EnsembleSpec, generate
 from qlsat.mixer import MixerSpec, dense_u, u_coefficients
@@ -168,13 +169,13 @@ def test_compact_matches_full_engine_below_maximal_constraint(m):
 
 
 def test_compact_norm_survives_large_n():
-    result = compact_run(100, PolicySpec(KIND_NEIGHBORHOOD), record_states=True)
-    for state in result.states:
-        assert isinstance(state, CompactState)
-        assert state.shell_norm() == pytest.approx(1.0, abs=1e-10)
-    hist0 = compact_histogram(result.states[0])
-    assert hist0.sum() == pytest.approx(1.0, abs=1e-10)
-    assert hist0[0] == pytest.approx(result.p_soln_by_step[0], abs=1e-15)
+    result = compact_run(100, PolicySpec(KIND_NEIGHBORHOOD), record_histograms=True)
+    for hist, p in zip(result.histograms, result.p_soln_by_step):
+        assert hist.sum() == pytest.approx(1.0, abs=1e-10)
+        assert hist[0] == pytest.approx(p, abs=1e-15)
+    # the scaled start state is the uniform state, shell by shell
+    want = compact_histogram(initial_compact(100))
+    np.testing.assert_allclose(result.histograms[0], want, rtol=1e-14, atol=0)
 
 
 def test_hundred_variable_reference_numbers():
@@ -278,11 +279,6 @@ def test_compact_run_in_the_thousands(n):
     assert all(0.0 <= p <= 1.0 for p in result.p_soln_by_step)
     drift = [abs(hist.sum() - 1.0) for hist in result.histograms]
     assert max(drift) <= 1e-10
-
-
-def test_recorded_states_refuse_weights_beyond_float_range():
-    with pytest.raises(ValueError, match="shell weights overflow"):
-        compact_run(1030, NEIGHBORHOOD, j_max=1, record_states=True)
 
 
 def test_under_constrained_run_keeps_the_uniform_solution_probability():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from oracles import oracle_trial
 
+import qlsat.engine
 from qlsat.engine import (
     READOUT_PIECE,
     RunResult,
@@ -37,12 +38,14 @@ def two_negated_units() -> SatProblem:
     return SatProblem(n=2, k=1, clauses=clauses)
 
 
-def test_two_variable_example_simple_policy():
-    result = run_trial(two_negated_units(), PolicySpec(KIND_SIMPLE), record_states=True)
+def test_two_variable_example_simple_policy(monkeypatch):
+    # a histogram readout that copies the state records every state of the trial
+    monkeypatch.setattr(qlsat.engine, "conflict_histogram", lambda x, conflicts, m: x.copy())
+    result = run_trial(two_negated_units(), PolicySpec(KIND_SIMPLE), record_histograms=True)
     assert result.engine == "full"
     assert result.p_soln_by_step[0] == pytest.approx(0.25, abs=1e-15)
     # one step concentrates the full amplitude on the solution
-    np.testing.assert_allclose(result.states[1], [1.0, 0.0, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(result.histograms[1], [1.0, 0.0, 0.0, 0.0], atol=1e-15)
     assert result.p_soln_by_step[1] == pytest.approx(1.0, abs=1e-12)
     assert result.best_j == 1
     assert result.best_cost == pytest.approx(1.0, abs=1e-12)
@@ -67,10 +70,10 @@ def test_step_matches_dense_operator():
         schedule,
         lambda x, signs: apply_u(spec, signs * x),
         lambda x: 0.0,
-        state_of=np.copy,
+        histogram_of=np.copy,
     )
-    assert len(result.states) == len(schedule) + 1
-    for signs, x, nxt in zip(schedule, result.states, result.states[1:]):
+    assert len(result.histograms) == len(schedule) + 1
+    for signs, x, nxt in zip(schedule, result.histograms, result.histograms[1:]):
         np.testing.assert_allclose(nxt, u @ (signs * x), atol=1e-12)
 
 
@@ -79,9 +82,9 @@ def test_step_matches_dense_operator():
 def test_norm_is_preserved(kind, n):
     spec = EnsembleSpec(n=n, k=3, m=3 * n, kind="random-soluble", seed=500 + n)
     problem = generate(spec).problem
-    result = run_trial(problem, PolicySpec(kind), record_states=True)
-    for state in result.states:
-        assert np.sum(state**2) == pytest.approx(1.0, abs=1e-10)
+    result = run_trial(problem, PolicySpec(kind), record_histograms=True)
+    for hist in result.histograms:
+        assert np.sum(hist) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_select_best_prefers_smaller_step_on_tie():
