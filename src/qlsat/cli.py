@@ -279,7 +279,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     records = []
     for i in range(args.trials):
         spec = _ensemble_from_args(args, instance_seed_sequence(args.seed, i))
-        inst = generate_instance(spec)
+        try:
+            inst = generate_instance(spec)
+        except RuntimeError as exc:  # a random-soluble budget ran out or was refused
+            raise _UsageError(str(exc)) from exc
         if args.count_solutions:
             inst = dataclasses.replace(inst, solution_count=backtrack_count(inst.problem))
         meta = instance_metadata(inst)
@@ -593,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble.add_argument("--m", type=int)
     ensemble.add_argument("--ensemble", choices=ENSEMBLE_KINDS)
     ensemble.add_argument("--planted", type=int, help="fixed planted assignment")
-    ensemble.add_argument("--trials", type=int, default=1)
+    ensemble.add_argument("--trials", type=int, help="default 1")
 
     policy = argparse.ArgumentParser(add_help=False)
     policy.add_argument(
@@ -639,8 +642,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "trials", 0) < 0:
-            raise _UsageError(f"--trials must be 0 or more, got {args.trials}")
+        if getattr(args, "instances", None):  # files bring their own instances
+            given = [f"--{name}" for name in ("trials", "n", "m", "ensemble", "planted")
+                     if getattr(args, name) is not None]
+            if given:
+                raise _UsageError(f"instance files take no inline-batch flag: {', '.join(given)}")
+        if "trials" in args:
+            if args.trials is None:
+                args.trials = 1
+            elif args.trials < 0:
+                raise _UsageError(f"--trials must be 0 or more, got {args.trials}")
         if "k" in args and args.k is None:  # verify has no --k, generate no --engine
             compact = getattr(args, "engine", None) == "compact"
             args.k = 1 if compact or args.ensemble == "max-constrained-1sat" else 3

@@ -14,14 +14,22 @@ Four ensembles are supported:
 
 Clauses are addressed by integer index into the (lexicographic) clause
 universe and unranked on demand, so no universe is ever materialized.
-Sampling uses numpy's PCG64 generator; per-attempt and per-instance
-sub-streams come from ``SeedSequence(seed, spawn_key=(i,))``.
+Unranking walks the combinatorial number system: one bisect per variable
+of the clause into cached columns of binomials gives its mask and value
+bits together.  Sampling uses numpy's PCG64 generator; per-attempt and
+per-instance sub-streams come from ``SeedSequence(seed, spawn_key=(i,))``.
+Floyd's algorithm draws all m of an instance's bounds in one call, the
+same stream as one scalar draw per bound.  A ``random-soluble`` spec
+whose rejection budget expects under 1e-3 soluble draws is refused
+before its first attempt.
 """
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import comb
+from math import comb, log10
 
 import numpy as np
 
@@ -87,52 +95,45 @@ class GeneratedInstance:
     solution_count: int | None = None
 
 
+@functools.lru_cache(maxsize=64)
+def _columns(n: int, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """comb(n, k) and the columns (comb(c, kk) for c < n), for kk = k down to 1."""
+    return comb(n, k), tuple(tuple(comb(c, kk) for c in range(n)) for kk in range(k, 0, -1))
+
+
+def _unrank(n: int, k: int, rank: int, packed: int) -> tuple[int, int]:
+    """Mask of the rank-th k-subset of n items, and ``packed`` spread onto it.
+
+    The co-rank comb(n, k) - 1 - rank is the colex rank of the mirrored
+    subset {n - 1 - i}, which the combinatorial number system reads off
+    greedily: one bisect per item, smallest item first.  Bit j of
+    ``packed`` goes to the j-th lowest item.
+    """
+    total, columns = _columns(n, k)
+    if not 0 <= rank < total:
+        raise ValueError(f"rank {rank} out of range for comb({n},{k})")
+    corank = total - 1 - rank
+    mask = value = 0
+    top = n
+    for column in columns:
+        top = bisect_right(column, corank, 0, top) - 1
+        corank -= column[top]
+        bit = 1 << (n - 1 - top)
+        mask |= bit
+        if packed & 1:
+            value |= bit
+        packed >>= 1
+    return mask, value
+
+
 def unrank_subset(n: int, k: int, rank: int) -> int:
     """Bitmask of the rank-th k-subset of n items, lexicographic by item index."""
-    if not 0 <= rank < comb(n, k):
-        raise ValueError(f"rank {rank} out of range for comb({n},{k})")
-    mask = 0
-    for i in range(n):
-        if k == 0:
-            break
-        with_i = comb(n - i - 1, k - 1)  # subsets that include item i
-        if rank < with_i:
-            mask |= 1 << i
-            k -= 1
-        else:
-            rank -= with_i
-    return mask
-
-
-def _spread_bits(packed: int, mask: int) -> int:
-    """Place the low bits of ``packed`` onto the set bits of ``mask``."""
-    out = 0
-    while mask:
-        bit = mask & -mask
-        if packed & 1:
-            out |= bit
-        packed >>= 1
-        mask ^= bit
-    return out
-
-
-def _extract_bits(value: int, mask: int) -> int:
-    """Inverse of _spread_bits: pack the masked bits of ``value``."""
-    out = 0
-    pos = 0
-    while mask:
-        bit = mask & -mask
-        if value & bit:
-            out |= 1 << pos
-        pos += 1
-        mask ^= bit
-    return out
+    return _unrank(n, k, rank, 0)[0]
 
 
 def unrank_clause(n: int, k: int, index: int) -> ConflictPattern:
     """The index-th clause of the universe, ordered (mask rank, value bits)."""
-    mask = unrank_subset(n, k, index >> k)
-    return ConflictPattern(mask, _spread_bits(index & ((1 << k) - 1), mask))
+    return ConflictPattern(*_unrank(n, k, index >> k, index & ((1 << k) - 1)))
 
 
 def unrank_nonconflicting_clause(
@@ -141,24 +142,31 @@ def unrank_nonconflicting_clause(
     """The index-th clause among those not falsified by ``planted``.
 
     Per mask there are 2**k - 1 admissible falsifying patterns; the one
-    matching the planted assignment on the mask is skipped.
+    matching the planted assignment on the mask is skipped.  Spreading
+    keeps order, so the patterns from the planted one up move to their
+    successor submask, ``(value - mask) & mask``.
     """
     per_mask = (1 << k) - 1
-    mask = unrank_subset(n, k, index // per_mask)
-    banned = _extract_bits(planted & mask, mask)
-    local = index % per_mask
-    if local >= banned:
-        local += 1
-    return ConflictPattern(mask, _spread_bits(local, mask))
+    mask, value = _unrank(n, k, index // per_mask, index % per_mask)
+    if value >= planted & mask:
+        value = (value - mask) & mask
+    return ConflictPattern(mask, value)
 
 
 def _sample_distinct(rng: np.random.Generator, universe: int, m: int) -> list[int]:
-    """m distinct integers from [0, universe), sorted (Floyd's algorithm)."""
+    """m distinct integers from [0, universe), sorted (Floyd's algorithm).
+
+    The m bounds j + 1 are drawn in one call, which consumes the stream
+    as m scalar draws would.  Past int64 the bounds stay Python ints (a
+    plain arange would round them to float), so numpy raises the
+    out-of-bounds error that a scalar draw raises.
+    """
     if m > universe:
         raise ValueError(f"cannot draw {m} distinct items from {universe}")
+    dtype = np.int64 if universe < 1 << 63 else object
+    draws = rng.integers(0, np.arange(universe - m + 1, universe + 1, dtype=dtype))
     chosen: set[int] = set()
-    for j in range(universe - m, universe):
-        t = int(rng.integers(0, j + 1))
+    for j, t in zip(range(universe - m, universe), draws.tolist()):
         chosen.add(j if t in chosen else t)
     return sorted(chosen)
 
@@ -215,10 +223,38 @@ def gen_max_constrained_1sat(spec: EnsembleSpec) -> GeneratedInstance:
     )
 
 
+class HopelessSpecError(RuntimeError):
+    """A random-soluble spec whose whole budget expects under 1e-3 soluble draws."""
+
+
+@functools.lru_cache(maxsize=64)
+def soluble_bound(n: int, k: int, m: int) -> tuple[int, int]:
+    """Numerator and denominator of E[#solutions] of a ``random`` draw.
+
+    An assignment satisfies the draw when none of its m clauses is among
+    the comb(n, k) that it falsifies, so the mean solution count is
+    2**n * comb(U - comb(n, k), m) / comb(U, m) for a universe of U
+    clauses; it bounds the chance that a draw is soluble.
+    """
+    universe = clause_universe_size(n, k)
+    return comb(universe - comb(n, k), m) << n, comb(universe, m)
+
+
 def gen_random_soluble(
     spec: EnsembleSpec, budget: int = DEFAULT_REJECTION_BUDGET
 ) -> GeneratedInstance:
-    """First soluble ``random`` draw, trying sub-seeded attempts in order."""
+    """First soluble ``random`` draw, trying sub-seeded attempts in order.
+
+    A spec whose budget times ``soluble_bound`` is below 1e-3 is refused
+    before the first attempt, in exact integers.
+    """
+    num, den = soluble_bound(spec.n, spec.k, spec.m)
+    if budget * num * 1000 < den:
+        raise HopelessSpecError(
+            f"refusing {spec}: a draw is soluble with probability at most "
+            f"10**{log10(num) - log10(den):.1f}, so {budget} attempts expect "
+            f"fewer than 1e-3 soluble draws"
+        )
     for attempt in range(budget):
         candidate = gen_random(spec, attempt=attempt)
         if backtrack_solve(candidate.problem) is not None:
@@ -249,58 +285,72 @@ def instance_seed_sequence(base_seed: int, index: int) -> int:
 # --- backtracking solver ------------------------------------------------------
 
 
-def _clauses_by_depth(problem: SatProblem) -> list[list[ConflictPattern]]:
-    """Group clauses by their highest variable, for incremental checking."""
-    groups: list[list[ConflictPattern]] = [[] for _ in range(problem.n + 1)]
+def _branch_table(problem: SatProblem) -> tuple[list[list[tuple[int, int, int]]], int]:
+    """Clauses by their highest variable d, as (low mask, low value, branch).
+
+    A clause at depth d forbids the value of variable d that its
+    ``branch`` flag names (1 for 0, 2 for 1) once the prefix matches its
+    low pattern on the variables below d.  Also returns the depth from
+    which no clause constrains a variable, or -1 when a zero-width clause
+    forbids everything.
+    """
+    table: list[list[tuple[int, int, int]]] = [[] for _ in range(problem.n)]
     for c in problem.clauses:
-        groups[c.mask.bit_length()].append(c)
-    return groups
+        if not c.mask:
+            return table, -1
+        d = c.mask.bit_length() - 1
+        table[d].append((c.mask ^ (1 << d), c.value & ~(1 << d), 1 + (c.value >> d)))
+    return table, max((d + 1 for d, row in enumerate(table) if row), default=0)
 
 
 def backtrack_solve(problem: SatProblem) -> int | None:
     """First satisfying assignment by depth-first search, or None.
 
-    Variables are assigned in index order; a branch is pruned as soon as
-    some clause has all its variables set to the falsifying pattern.
+    Variables are assigned in index order, 0 before 1, and variables past
+    the last constrained one stay 0; a branch is pruned as soon as some
+    clause has all its variables set to the falsifying pattern.  One pass
+    over a depth's clauses settles both of its branches.
     """
-    groups = _clauses_by_depth(problem)
-    if groups[0]:  # a zero-width clause forbids everything
+    table, last = _branch_table(problem)
+    if last < 0:
         return None
-    last = max((i for i in range(problem.n + 1) if groups[i]), default=0)
-
-    def descend(depth: int, prefix: int) -> int | None:
+    stack = [(0, 0)]
+    while stack:
+        depth, prefix = stack.pop()
         if depth == last:
             return prefix
-        for bit in (0, 1 << depth):
-            s = prefix | bit
-            if any(c.conflicts_with(s) for c in groups[depth + 1]):
-                continue
-            found = descend(depth + 1, s)
-            if found is not None:
-                return found
-        return None
-
-    return descend(0, 0)
+        blocked = 0
+        for low_mask, low_value, branch in table[depth]:
+            if prefix & low_mask == low_value:
+                blocked |= branch
+        if not blocked & 2:
+            stack.append((depth + 1, prefix | 1 << depth))
+        if not blocked & 1:
+            stack.append((depth + 1, prefix))
+    return None
 
 
 def backtrack_count(problem: SatProblem) -> int:
     """Exact number of satisfying assignments, by pruned enumeration."""
-    groups = _clauses_by_depth(problem)
-    if groups[0]:
+    table, last = _branch_table(problem)
+    if last < 0:
         return 0
-    last = max((i for i in range(problem.n + 1) if groups[i]), default=0)
-
-    def descend(depth: int, prefix: int) -> int:
+    leaves = 0
+    stack = [(0, 0)]
+    while stack:
+        depth, prefix = stack.pop()
         if depth == last:
-            return 1 << (problem.n - last)  # unconstrained tail variables
-        total = 0
-        for bit in (0, 1 << depth):
-            s = prefix | bit
-            if not any(c.conflicts_with(s) for c in groups[depth + 1]):
-                total += descend(depth + 1, s)
-        return total
-
-    return descend(0, 0)
+            leaves += 1
+            continue
+        blocked = 0
+        for low_mask, low_value, branch in table[depth]:
+            if prefix & low_mask == low_value:
+                blocked |= branch
+        if not blocked & 2:
+            stack.append((depth + 1, prefix | 1 << depth))
+        if not blocked & 1:
+            stack.append((depth + 1, prefix))
+    return leaves << (problem.n - last)  # unconstrained tail variables
 
 
 def instance_metadata(instance: GeneratedInstance) -> dict:

@@ -71,12 +71,13 @@ class SatProblem:
     def __post_init__(self) -> None:
         if not 0 <= self.k <= self.n:
             raise ValueError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
-        if len(set(self.clauses)) != len(self.clauses):
+        pairs = [(c.mask, c.value) for c in self.clauses]
+        if len(set(pairs)) != len(pairs):
             raise ValueError("duplicate clauses")
-        for c in self.clauses:
-            if c.mask >> self.n:
+        for c, (mask, _) in zip(self.clauses, pairs):
+            if mask >> self.n:
                 raise ValueError(f"clause {c} uses variables beyond n={self.n}")
-            if c.k != self.k:
+            if mask.bit_count() != self.k:
                 raise ValueError(f"clause {c} has {c.k} variables, expected k={self.k}")
 
     @property

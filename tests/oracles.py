@@ -27,6 +27,13 @@ exact big-integer Krawtchouk rows, one correctly rounded square root per
 entry.  It is O(m**2) Python big-integer work and converts integers of
 size 2**m to float, so it overflows once m passes about 1020; the package
 builds the same matrix by a float recurrence instead.
+
+``unrank_subset_by_items`` unranks a lexicographic k-subset one item at a
+time and ``spread_bits`` places packed value bits onto a mask one bit at
+a time; ``floyd_sample`` draws Floyd's sample one scalar bound at a
+time; the package unranks by bisects and draws all bounds in one call.
+``first_solution`` is the first satisfying assignment in the backtracking
+search order, found by scanning every assignment.
 """
 
 import math
@@ -285,3 +292,51 @@ def oracle_trial(problem: SatProblem, spec: PolicySpec) -> tuple[list[float], in
         x = butterfly_fwht(y, inplace=True) / size
         probs.append(float(np.sum(x[solutions] ** 2)))
     return probs, select_best(probs)[0]
+
+
+def unrank_subset_by_items(n: int, k: int, rank: int) -> int:
+    """Bitmask of the rank-th k-subset of n items, deciding item 0, 1, ... in turn."""
+    if not 0 <= rank < comb(n, k):
+        raise ValueError(f"rank {rank} out of range for comb({n},{k})")
+    mask = 0
+    for i in range(n):
+        if k == 0:
+            break
+        with_i = comb(n - i - 1, k - 1)  # subsets that include item i
+        if rank < with_i:
+            mask |= 1 << i
+            k -= 1
+        else:
+            rank -= with_i
+    return mask
+
+
+def spread_bits(packed: int, mask: int) -> int:
+    """Place the low bits of ``packed`` onto the set bits of ``mask``, lowest first."""
+    out = 0
+    while mask:
+        bit = mask & -mask
+        if packed & 1:
+            out |= bit
+        packed >>= 1
+        mask ^= bit
+    return out
+
+
+def floyd_sample(rng: np.random.Generator, universe: int, m: int) -> list[int]:
+    """m distinct integers from [0, universe), sorted, one scalar draw per bound."""
+    chosen: set[int] = set()
+    for j in range(universe - m, universe):
+        t = int(rng.integers(0, j + 1))
+        chosen.add(j if t in chosen else t)
+    return sorted(chosen)
+
+
+def first_solution(problem: SatProblem) -> int | None:
+    """First satisfying assignment with variables in index order, 0 before 1.
+
+    Sorting by the bits V_1, V_2, ... in turn puts the zero completion of
+    a satisfying prefix first, which is the unconstrained tail left 0.
+    """
+    solutions = np.flatnonzero(index_conflict_vector(problem) == 0).tolist()
+    return min(solutions, key=lambda s: [(s >> i) & 1 for i in range(problem.n)], default=None)

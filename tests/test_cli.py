@@ -260,6 +260,48 @@ def test_run_keeps_going_past_a_failed_inline_draw(capsys, monkeypatch):
     assert "result" in records[0] and "result" in records[2]
 
 
+def test_hopeless_random_soluble_batches_end_at_once(capsys, tmp_path):
+    # n = 5, m = 70 is soluble only if the 10 missing patterns are one
+    # assignment's; each draw used to spend its whole budget, about 6 s
+    code, out, _ = run_cli(
+        capsys, "run", "--ensemble", "random-soluble", "--n", "5", "--m", "70", "--trials", "100",
+    )
+    assert code == 0
+    records = jsonl(out)
+    assert len(records) == 100
+    assert all(r["error"].startswith("HopelessSpecError: refusing") for r in records)
+    code, out, err = run_cli(
+        capsys, "generate", "--out-dir", str(tmp_path), "--ensemble", "random-soluble",
+        "--n", "5", "--m", "70",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("qlsat: error: refusing EnsembleSpec(n=5, k=3, m=70")
+    assert "Traceback" not in err
+
+
+def test_generate_reports_an_exhausted_budget_as_an_error(capsys, tmp_path, monkeypatch):
+    def exhausted(spec):
+        raise RuntimeError(f"no soluble instance within 10000 attempts for {spec}")
+
+    monkeypatch.setattr(qlsat.cli, "generate_instance", exhausted)
+    code, out, err = run_cli(
+        capsys, "generate", "--out-dir", str(tmp_path), "--ensemble", "random-soluble",
+        "--n", "5", "--m", "60",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("qlsat: error: no soluble instance within 10000 attempts")
+
+
+def test_run_files_without_inline_flags_echo_one_trial(capsys, tmp_path):
+    path = tmp_path / "ref.cnf"
+    path.write_text(REFERENCE_CNF)
+    code, out, _ = run_cli(capsys, "run", str(path))
+    assert code == 0
+    (record,) = jsonl(out)
+    assert record["config"]["trials"] == 1
+    assert record["config"]["n"] is None and record["config"]["ensemble"] is None
+
+
 def test_generate_wide_planted_instance(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
@@ -341,6 +383,12 @@ def test_run_histograms_flag(capsys):
         ["run", "--ensemble", "random", "--n", "8", "--m", "20", "--trials", "-3"],
         ["sweep", "--axis", "n", "--values", "6", "--ensemble", "random", "--m", "12",
          "--trials", "-2"],
+        # instance files bring their own instances: inline-batch flags are refused
+        ["run", "x", "--trials", "7"],
+        ["run", "x", "--n", "9"],
+        ["run", "x", "--m", "3"],
+        ["run", "x", "--ensemble", "random-soluble"],
+        ["run", "x", "--planted", "2"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys, tmp_path):

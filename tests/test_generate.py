@@ -1,5 +1,8 @@
 """Instance ensembles, combinatorial unranking, and the backtracking solver."""
 
+import hashlib
+import importlib
+import itertools
 from math import comb
 
 import numpy as np
@@ -9,6 +12,8 @@ from qlsat.generate import (
     DEFAULT_REJECTION_BUDGET,
     GENERATOR_NAME,
     EnsembleSpec,
+    HopelessSpecError,
+    _sample_distinct,
     backtrack_count,
     backtrack_solve,
     clause_universe_size,
@@ -20,11 +25,17 @@ from qlsat.generate import (
     instance_metadata,
     instance_seed_sequence,
     max_clauses,
+    soluble_bound,
     unrank_clause,
     unrank_nonconflicting_clause,
     unrank_subset,
 )
 from qlsat.sat import ConflictPattern, SatProblem, count_conflicts
+
+from oracles import first_solution, floyd_sample, spread_bits, unrank_subset_by_items
+
+# the package re-exports the function generate() under the submodule's name
+generate_mod = importlib.import_module("qlsat.generate")
 
 
 def test_unrank_subset_is_a_lexicographic_bijection():
@@ -238,3 +249,145 @@ def test_backtrack_count_handles_unconstrained_tail_variables():
     # prefix carries 2**3 completions.
     problem = SatProblem(n=5, k=2, clauses=(ConflictPattern(0b11, 0b00),))
     assert backtrack_count(problem) == brute_count(problem) == 24
+
+
+# --- generation pinned bit for bit ---------------------------------------------
+
+
+def test_unrank_subset_matches_the_item_by_item_reference_exhaustively():
+    for n in range(13):
+        for k in range(n + 1):
+            for rank in range(comb(n, k)):
+                mask = unrank_subset_by_items(n, k, rank)
+                assert unrank_subset(n, k, rank) == mask
+                for packed in {0, (1 << k) - 1, rank % (1 << k)}:
+                    clause = unrank_clause(n, k, (rank << k) | packed)
+                    assert clause == ConflictPattern(mask, spread_bits(packed, mask))
+
+
+@pytest.mark.parametrize("n,k", [(200, 3), (70, 35)])
+def test_unrank_subset_matches_the_reference_at_wide_masks(n, k):
+    total = comb(n, k)
+    for rank in (0, 1, total // 3, total // 2, total - 2, total - 1):
+        assert unrank_subset(n, k, rank) == unrank_subset_by_items(n, k, rank)
+    for rank in (-1, total):
+        with pytest.raises(ValueError):
+            unrank_subset(n, k, rank)
+
+
+@pytest.mark.parametrize(
+    "universe,m",
+    [(1, 1), (7, 0), (7, 7), (40, 13), (2**32 - 2, 9), (2**32 + 3, 9), (2**62 + 5, 6),
+     (2**63 - 1, 4), (2**63, 4)],
+)
+def test_one_call_draw_consumes_the_stream_as_scalar_draws(universe, m):
+    # the bounds of (2**32 + 3, 9) lie on both sides of 2**32
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _sample_distinct(rng, universe, m) == floyd_sample(ref, universe, m)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("universe", [2**63 + 1, 2**64 + 5])
+def test_one_call_draw_past_int64_raises_as_a_scalar_draw(universe):
+    with pytest.raises(ValueError, match="high is out of bounds for int64"):
+        floyd_sample(np.random.default_rng(0), universe, 3)
+    with pytest.raises(ValueError, match="high is out of bounds for int64"):
+        _sample_distinct(np.random.default_rng(0), universe, 3)
+
+
+@pytest.mark.parametrize("n,k", [(70, 35), (42, 26)])
+def test_an_oversized_universe_fails_the_draw(n, k):
+    # (42, 26) has a universe in [2**63, 2**64), (70, 35) one past 2**64
+    with pytest.raises(ValueError, match="high is out of bounds for int64"):
+        generate(EnsembleSpec(n=n, k=k, m=3, kind="random", seed=0))
+
+
+# sha256 prefixes of four seeds' clauses, planted values and counts per spec
+GENERATE_DIGESTS = [
+    ("random", 12, 3, 48, "476d6e3f7b484af9"),
+    ("random", 5, 2, 40, "68b9ec86b8f71583"),  # the whole universe
+    ("random", 6, 2, 0, "08688a74603f0b96"),
+    ("random", 40, 8, 20, "b149833c75d68e7a"),  # bounds past 2**32
+    ("random", 41, 27, 3, "be8990e562b90a5d"),  # k > n/2, bounds past 2**62
+    ("random-soluble", 10, 3, 40, "0c6d127d028bd525"),
+    ("random-soluble", 14, 3, 56, "f8fb15790e0f8d0a"),
+    ("random-soluble", 9, 6, 30, "f5e99ee69affd415"),  # k > n/2
+    ("random-soluble", 7, 3, 0, "08688a74603f0b96"),
+    ("prespecified-solution", 10, 3, 40, "412e6af0a22e6653"),
+    ("prespecified-solution", 70, 3, 300, "d913c921e18d7713"),  # masks past 64 bits
+    ("prespecified-solution", 5, 2, 30, "238fb32f24d23a11"),  # every admissible clause
+    ("prespecified-solution", 9, 6, 30, "28df9aa9d9355589"),  # k > n/2
+    ("prespecified-solution", 8, 3, 0, "e470259788c5efc4"),
+    ("max-constrained-1sat", 10, 1, 10, "e1ae3c03a4b60787"),
+    ("max-constrained-1sat", 80, 1, 80, "072737bf2b8995e0"),
+]
+
+
+@pytest.mark.parametrize("kind,n,k,m,expected", GENERATE_DIGESTS)
+def test_generated_instances_are_pinned_bit_for_bit(kind, n, k, m, expected):
+    h = hashlib.sha256()
+    for seed in range(4):
+        inst = generate(EnsembleSpec(n=n, k=k, m=m, kind=kind, seed=seed))
+        h.update(repr([(c.mask, c.value) for c in inst.problem.clauses]).encode())
+        h.update(repr((inst.planted, inst.solution_count)).encode())
+    assert h.hexdigest()[:16] == expected
+
+
+def oracle_instances():
+    """Random instances with n <= 10 over every width, soluble or not."""
+    rng = np.random.default_rng(2024)
+    for n in range(1, 11):
+        for k in range(1, min(n, 4) + 1):
+            universe = clause_universe_size(n, k)
+            for _ in range(6):
+                m = int(rng.integers(0, min(universe, 6 * n) + 1))
+                spec = EnsembleSpec(n=n, k=k, m=m, kind="random", seed=int(rng.integers(1 << 30)))
+                yield gen_random(spec).problem
+    yield SatProblem(n=4, k=0, clauses=(ConflictPattern(0, 0),))  # a zero-width clause
+
+
+def test_backtracking_matches_brute_force_search_order_and_count():
+    problems = list(oracle_instances())
+    assert len(problems) >= 200
+    assert any(backtrack_solve(p) is None for p in problems[:-1])
+    for problem in problems:
+        assert backtrack_solve(problem) == first_solution(problem)
+        assert backtrack_count(problem) == brute_count(problem)
+
+
+# --- hopeless random-soluble specs ----------------------------------------------
+
+
+def test_soluble_bound_is_the_exact_mean_solution_count():
+    for n, k, m in ((3, 1, 2), (3, 2, 5), (4, 2, 3), (4, 3, 3)):
+        universe = [unrank_clause(n, k, i) for i in range(clause_universe_size(n, k))]
+        total = draws = 0
+        for clauses in itertools.combinations(universe, m):
+            total += brute_count(SatProblem(n, k, clauses))
+            draws += 1
+        num, den = soluble_bound(n, k, m)
+        assert total * den == num * draws
+
+
+@pytest.mark.parametrize(
+    "n,m,refused",
+    [(5, 70, True), (6, 100, True), (5, 60, False), (12, 120, False), (10, 40, False)],
+)
+def test_hopeless_random_soluble_specs_are_refused_before_any_draw(monkeypatch, n, m, refused):
+    # budget * bound: 1.9e-7 and 1.9e-4 are refused; 0.036, 2.4 and 4.4e4 are not
+    class Drew(Exception):
+        pass
+
+    def first_draw(*args, **kwargs):
+        raise Drew
+
+    monkeypatch.setattr(generate_mod, "gen_random", first_draw)
+    spec = EnsembleSpec(n=n, k=3, m=m, kind="random-soluble", seed=0)
+    assert issubclass(HopelessSpecError, RuntimeError)  # as an exhausted budget raises
+    if refused:
+        with pytest.raises(HopelessSpecError, match=r"at most 10\*\*-.*fewer than 1e-3"):
+            gen_random_soluble(spec)
+    else:
+        with pytest.raises(Drew):
+            gen_random_soluble(spec)

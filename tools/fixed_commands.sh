@@ -46,3 +46,7 @@ qlsat sweep --axis m-over-n --values 3:6 --n 10 --ensemble prespecified-solution
 qlsat run --ensemble random --n 10 --m 40 --trials 5 --alpha 3 --j-max 3 --c-start 9/2
 qlsat verify
 qlsat verify --alpha 2 --dense-limit 5
+qlsat generate --out-dir wide --ensemble prespecified-solution --n 70 --m 300 --trials 3 --seed 5
+qlsat run --ensemble random --n 12 --k 5 --m 200 --trials 3 --seed 2
+qlsat generate --out-dir cnt --ensemble random-soluble --n 14 --m 56 --trials 3 --seed 4 \
+    --count-solutions
