@@ -33,6 +33,7 @@ gate them at 1e-14.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -43,6 +44,7 @@ from .phases import PolicySpec, resolve_policy, sign_tables
 _RESCALE_BITS = 512
 
 
+@functools.lru_cache(maxsize=1)
 def _start_vector(m: int) -> tuple[np.ndarray, np.ndarray]:
     """sqrt(comb(m, b) / 2**m) for b = 0..m as mantissa * 2**exponent.
 
@@ -50,6 +52,7 @@ def _start_vector(m: int) -> tuple[np.ndarray, np.ndarray]:
     80-bit integer square root.  The smallest starts, 2**(-m/2), leave the
     normal float range from m = 2046, so the exponent is kept apart.  Only
     b <= m/2 is computed; the rest mirrors it, as comb(m, b) = comb(m, m - b).
+    The last m's arrays are kept, read-only, so a run computes them once.
     """
     mant = np.empty(m + 1)
     exp = np.empty(m + 1, dtype=np.int64)
@@ -65,6 +68,7 @@ def _start_vector(m: int) -> tuple[np.ndarray, np.ndarray]:
         binom = binom * (m - b) // (b + 1)
     mant[m - m // 2 :] = mant[m // 2 :: -1]
     exp[m - m // 2 :] = exp[m // 2 :: -1]
+    mant.flags.writeable = exp.flags.writeable = False
     return mant, exp
 
 
@@ -85,6 +89,9 @@ def _scaled_shell_transform(m: int) -> np.ndarray:
     """
     half = m // 2
     cur, exp = _start_vector(m)
+    may_grow_large = exp.min() < -_RESCALE_BITS
+    if may_grow_large:  # the rescale writes into prev and exp
+        cur, exp = cur.copy(), exp.copy()
     x = m - 2.0 * np.arange(m + 1)
     c = np.arange(half, dtype=float)
     up = 1.0 / np.sqrt((c + 1) * (m - c))
@@ -92,7 +99,6 @@ def _scaled_shell_transform(m: int) -> np.ndarray:
     rows = np.empty((m + 1, m + 1))  # rows[c] is column c of T
     np.ldexp(cur, exp, out=rows[0])
     prev = np.zeros(m + 1)
-    may_grow_large = exp.min() < -_RESCALE_BITS
     for j in range(half):
         prev, cur = cur, (x * cur - back[j] * prev) * up[j]
         if may_grow_large:
@@ -146,7 +152,7 @@ def compact_run(
     resolved = resolve_policy(policy, n=n, m=m, k=1)
     v = build_v_scaled(n, m)
     # scaled initial state phi_c = sqrt(w_c / 2**n) = sqrt(comb(m,c) / 2**m),
-    # the same start vector as column 0 of the shell transform
+    # the start vector that column 0 of the shell transform was just built from
     phi = np.ldexp(*_start_vector(m))
     # shell c has c conflicts and c better neighbors, so its sign is entry c
     # of the step's sign table

@@ -20,6 +20,7 @@ reports the best j, preferring smaller j on ties.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -179,19 +180,20 @@ def run_trial(
     resolved = resolve_policy(policy, problem.n, problem.m, problem.k)
     conflicts = conflict_vector(problem, limit)
     table = policy_table(resolved, conflicts)
-
-    # the start state goes straight into the call: a local holding it would
-    # keep one more 2**n vector alive for the whole trial.  evolve owns it,
-    # so its signs are flipped and it is mixed in place
+    p_soln_of = solution_readout(conflicts)
+    histogram_of = None
+    if record_histograms:
+        histogram_of = functools.partial(conflict_histogram, conflicts=conflicts, m=problem.m)
+    # the conflict table lives on only where a readout or the policy reads
+    # it, and the start state goes straight into the call: a local holding
+    # either keeps one more 2**n table alive for the whole trial.  evolve
+    # owns the state, so its signs are flipped and it is mixed in place
+    del conflicts
     return evolve(
         "full",
         init_uniform(problem.n, limit),
         sign_tables(resolved, problem.n, problem.m, j_max),
         lambda x, signs: mixer_mod.apply_u(spec, apply_signs(x, signs, table), inplace=True),
-        solution_readout(conflicts),
-        histogram_of=(
-            (lambda x: conflict_histogram(x, conflicts, problem.m))
-            if record_histograms
-            else None
-        ),
+        p_soln_of,
+        histogram_of=histogram_of,
     )

@@ -15,11 +15,12 @@ Weight-h transform coefficients enter through the integer kernel
 with u_d = (1/N) * sum_h tau_h * S(n, h, d).  All integer work is exact;
 the single division by N happens last.
 
-The fast path applies U as transform, per-index multiply by tau_h / N,
-transform.  Wh is the Kronecker product of n 2x2 Hadamards, so it
-factors into passes that each apply the 16x16 Sylvester Hadamard along
-one group of four index bits (Fino & Algazi, IEEE Trans. Computers C-25,
-1976): ceil(n/4) matmul passes, done in place over cache-sized blocks.
+The fast path applies U as transform, per-index multiply by tau_h / N
+(read from a few rows of 2**13 weights, not a 2**n table), transform.  Wh
+is the Kronecker product of n 2x2 Hadamards, so it factors into passes
+that each apply the 16x16 Sylvester Hadamard along one group of four index
+bits (Fino & Algazi, IEEE Trans. Computers C-25, 1976): ceil(n/4) matmul
+passes, done in place over cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .sat import CapacityError
+from .sat import TABLE_PIECE, CapacityError
 
 # Dense 2**n x 2**n matrices are for oracle checks only.
 DEFAULT_DENSE_LIMIT = 12
@@ -58,20 +59,23 @@ class MixerSpec:
             raise ValueError(f"need 0 <= alpha <= n, got alpha={self.alpha}")
 
     @cached_property
-    def scaled_tau(self) -> np.ndarray:
-        """tau of each index's Hamming weight over 2**n, for all 2**n indices.
+    def tau_rows(self) -> np.ndarray:
+        """tau / 2**n for one piece of 2**min(n, 13) indices, by high-bit weight.
 
-        Held by this spec, so every step of a trial reuses it (read-only).
-        Stored as float32, half the bytes of a state: +/-2**-n is a power
-        of two, exact in float32 for n up to 126, and ``apply_u`` widens
-        it to float64 before it multiplies, so the product is the same as
-        with a float64 table.  Both branches are float32 scalars, so no
-        float64 table is made on the way.
+        Row w serves a piece ``[lo, lo + piece)`` whose high bits ``lo >> 13``
+        have Hamming weight w, since an index's weight is w plus that of its
+        low bits: n - 12 rows of 32 KiB at most stand for all 2**n weights,
+        held (read-only) by this spec for every step of its trials.  +/-2**-n
+        is exact in float32 and widened in the multiply, so the products are
+        those of a whole float64 table.
         """
+        top = TABLE_PIECE.bit_length() - 1
+        bits = min(self.n, top)  # one cached popcount table serves every n
+        high = np.arange(self.n - bits + 1, dtype=np.uint8)[:, None]
         scale = np.float32(1.0 / (1 << self.n))
-        tau = np.where(popcounts(self.n) <= self.alpha, scale, -scale)
-        tau.setflags(write=False)
-        return tau
+        rows = np.where(popcounts(top)[: 1 << bits] + high <= self.alpha, scale, -scale)
+        rows.setflags(write=False)
+        return rows
 
 
 def kernel_rows(n: int):
@@ -178,21 +182,24 @@ def fwht(x: np.ndarray, inplace: bool = False) -> np.ndarray:
 
 
 def apply_u(spec: MixerSpec, x: np.ndarray, inplace: bool = False) -> np.ndarray:
-    """U @ x via transform, multiply by ``spec.scaled_tau``, transform.
+    """U @ x via transform, multiply by ``spec.tau_rows``, transform.
 
     The sign flip on high-weight components and the 1/N normalization are
     one multiply between the transforms; scaling by a power of two is
     exact, so its place in the product does not change the result.  The
-    float32 weights are widened to float64 in the multiply, so the result
-    is bit-identical to float64 weights.  ``inplace`` works as in ``fwht``:
-    x itself is transformed and returned when it is a contiguous float64
-    array, so no second state vector is made; by default x is left as it
-    was.
+    multiply goes a piece at a time, each piece by the row of its high
+    bits' weight, so no 2**n weight table is made.  ``inplace`` works as
+    in ``fwht``: x itself is transformed and returned when it is a
+    contiguous float64 array, so no second state vector is made; by
+    default x is left as it was.
     """
     if len(x) != 1 << spec.n:
         raise ValueError(f"state length {len(x)} does not match n={spec.n}")
     y = fwht(x, inplace=inplace)
-    y *= spec.scaled_tau
+    rows = spec.tau_rows
+    piece = rows.shape[1]
+    for lo in range(0, len(y), piece):
+        y[lo : lo + piece] *= rows[(lo // piece).bit_count()]
     return fwht(y, inplace=True)
 
 

@@ -8,7 +8,8 @@ the package computes the same by radix-16 matmul passes and strided views.
 simple threshold compared in exact rational arithmetic as v * q > p;
 ``oracle_schedule`` gathers its tables by the int64 tables for every step
 up front, ``tau_vector`` gives the mixing weight's sign by Hamming weight,
-and ``oracle_trial`` evolves a trial from these.
+``whole_table_u`` mixes with one 2**n table of weights, and
+``oracle_trial`` evolves a trial from these.
 
 ``n_better`` counts improving single flips of one assignment by direct
 evaluation; ``s_coefficient`` sums the transform kernel term by term, and
@@ -43,7 +44,14 @@ from math import comb
 import numpy as np
 
 from qlsat.engine import select_best
-from qlsat.mixer import DEFAULT_DENSE_LIMIT, MixerSpec, kernel_rows, popcounts, u_numerators
+from qlsat.mixer import (
+    DEFAULT_DENSE_LIMIT,
+    MixerSpec,
+    fwht,
+    kernel_rows,
+    popcounts,
+    u_numerators,
+)
 from qlsat.phases import KIND_SIMPLE, PolicySpec, ResolvedPolicy, resolve_policy
 from qlsat.sat import (
     DEFAULT_FULL_LIMIT,
@@ -277,6 +285,12 @@ def oracle_schedule(problem: SatProblem, spec: PolicySpec) -> list[np.ndarray]:
 def tau_vector(spec: MixerSpec) -> np.ndarray:
     """Signs tau_h for h = 0..n: +1 up to alpha, -1 beyond."""
     return np.where(np.arange(spec.n + 1) <= spec.alpha, 1.0, -1.0)
+
+
+def whole_table_u(spec: MixerSpec, x: np.ndarray) -> np.ndarray:
+    """U @ x with every index's weight tau / 2**n in one 2**n table."""
+    weights = tau_vector(spec)[popcounts(spec.n)] / (1 << spec.n)
+    return fwht(fwht(x) * weights)
 
 
 def oracle_trial(problem: SatProblem, spec: PolicySpec) -> tuple[list[float], int | None]:

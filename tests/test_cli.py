@@ -710,7 +710,7 @@ def test_thread_count_does_not_change_results(capsys):
 def test_a_batch_builds_the_mixing_weights_once_per_n(capsys, monkeypatch, tmp_path):
     built = []  # (n, weak reference to the spec) per build of the weights
     held = []  # the n of each earlier spec still alive at a build
-    build = MixerSpec.__dict__["scaled_tau"].func
+    build = MixerSpec.__dict__["tau_rows"].func
 
     def counted(spec):
         held.extend(n for n, ref in built if ref() is not None)
@@ -718,8 +718,8 @@ def test_a_batch_builds_the_mixing_weights_once_per_n(capsys, monkeypatch, tmp_p
         return build(spec)
 
     cached = functools.cached_property(counted)
-    cached.__set_name__(MixerSpec, "scaled_tau")
-    monkeypatch.setattr(MixerSpec, "scaled_tau", cached)
+    cached.__set_name__(MixerSpec, "tau_rows")
+    monkeypatch.setattr(MixerSpec, "tau_rows", cached)
 
     def builds(*argv):
         built.clear()

@@ -245,6 +245,19 @@ def test_mirrored_start_vector_equals_the_per_shell_loop(m):
     mant, exp = qlsat.compact._start_vector(m)
     want_mant, want_exp = start_vector(m)
     assert np.array_equal(mant, want_mant) and np.array_equal(exp, want_exp)
+    # kept for the next call, so no caller may write into them
+    assert not mant.flags.writeable and not exp.flags.writeable
+
+
+@pytest.mark.parametrize("n", [100, 2100])
+def test_compact_run_computes_its_start_vector_once(n):
+    qlsat.compact._start_vector.cache_clear()
+    result = compact_run(n, NEIGHBORHOOD, j_max=2)
+    assert qlsat.compact._start_vector.cache_info().misses == 1
+    # from m = 2046 on the transform rescales; the run must start from the
+    # start vector as computed, not from one the rescale wrote into
+    qlsat.compact._start_vector.cache_clear()
+    assert compact_run(n, NEIGHBORHOOD, j_max=2).p_soln_by_step == result.p_soln_by_step
 
 
 @pytest.mark.parametrize("n,m", [(8, 3), (100, 100), (301, 150)])

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -270,10 +271,66 @@ def test_run_trial_peak_is_at_most_2_5_state_vectors(case, kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the state, float32 mixing weights, one-byte tables and fixed-size
-    # transform and readout blocks: 2.13-2.27 measured over these cases;
-    # one more state held for the whole trial reads 3.13-3.27
+    # the state, one-byte tables, the mixing weights each trial's new spec
+    # builds (0.25) and fixed-size transform, readout and conflict-table
+    # blocks: 1.88-2.02 measured over these cases; one more state held for
+    # the whole trial reads 2.88-3.02
     assert (peak - base) / (8 << n) <= 2.5
+
+
+@pytest.mark.parametrize("kind", [KIND_SIMPLE, KIND_NEIGHBORHOOD])
+def test_run_trial_peak_at_n_20_is_the_state_and_one_count_table(kind):
+    n = 20
+    problem = generate(EnsembleSpec(n=n, k=3, m=4 * n, kind="random", seed=20)).problem
+    spec = MixerSpec(n)
+    run_trial(problem, PolicySpec(kind), mixer=spec)  # warm-up: lazily built shared tables
+    # the mixing weights are rows of one piece, not a 2**n table
+    assert spec.tau_rows.nbytes <= (n - 12) * (64 << 10)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_trial(problem, PolicySpec(kind), mixer=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the state, the one-byte count table the policy reads and fixed-size
+    # blocks: 1.19 measured for both policies; a 2**n float32 weight table
+    # or a conflict table held beside the n_better table reads 1.75-1.88
+    assert (peak - base) / (8 << n) <= 1.5
+
+
+@pytest.mark.parametrize(
+    "kind,clauses,histograms,held",
+    [
+        (KIND_NEIGHBORHOOD, True, False, False),
+        (KIND_NEIGHBORHOOD, True, True, True),  # the histogram readout reads it
+        (KIND_NEIGHBORHOOD, False, False, True),  # 2**14 solutions: read by pieces
+        (KIND_SIMPLE, True, False, True),  # it is the policy's count table
+    ],
+)
+def test_the_conflict_table_lives_only_while_something_reads_it(
+    monkeypatch, kind, clauses, histograms, held
+):
+    n = 14
+    if clauses:
+        problem = generate(EnsembleSpec(n=n, k=3, m=4 * n, kind="random", seed=14)).problem
+    else:
+        problem = SatProblem(n=n, k=3, clauses=())
+    tables, alive = [], []
+
+    def recorded(problem, limit):
+        table = conflict_vector(problem, limit)
+        tables.append(weakref.ref(table))
+        return table
+
+    def watched(*args, **kwargs):
+        alive.append(tables[0]() is not None)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(qlsat.engine, "conflict_vector", recorded)
+    monkeypatch.setattr(qlsat.engine, "evolve", watched)
+    run_trial(problem, PolicySpec(kind), record_histograms=histograms)
+    assert alive == [held]
 
 
 def test_peak_stays_at_2_5_state_vectors_over_many_steps_of_wide_sign_tables():
@@ -292,6 +349,6 @@ def test_peak_stays_at_2_5_state_vectors_over_many_steps_of_wide_sign_tables():
     finally:
         tracemalloc.stop()
     assert result.steps == 491
-    # 2.48 measured: the bound of the test above, reached here by the
+    # 2.23 measured: the bound of the test above, neared here by the
     # two-byte conflict table and one 64 KiB block of signs held in a step
     assert (peak - base) / (8 << n) <= 2.5

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import butterfly_fwht, dense_w_hat, s_coefficient, tau_vector
+from oracles import butterfly_fwht, dense_w_hat, s_coefficient, tau_vector, whole_table_u
 
 from qlsat.mixer import (
     DEFAULT_DENSE_LIMIT,
@@ -169,16 +169,34 @@ def test_dense_operator_values_by_distance():
             assert u[r, s] == coef[pc[r ^ s]]
 
 
-def test_scaled_tau_is_shared_and_read_only():
-    for n, alpha in ((5, 2), (12, None), (20, 3)):
+def test_tau_rows_are_shared_and_read_only():
+    for n, alpha in ((5, 2), (12, None), (13, 4), (14, 14), (20, 3)):
         spec = MixerSpec(n, alpha=alpha)
-        assert spec.scaled_tau.dtype == np.float32
-        # +/-2**-n is exact in float32: widened, it equals the float64 weights
+        rows = spec.tau_rows
+        piece = min(1 << n, 1 << 13)
+        assert rows.dtype == np.float32 and rows.shape == (max(n - 12, 1), piece)
+        # laid out by piece and widened (+/-2**-n is exact in float32), the
+        # rows are the whole float64 table of weights
+        laid_out = np.concatenate(
+            [rows[(lo // piece).bit_count()] for lo in range(0, 1 << n, piece)]
+        )
         expected = tau_vector(spec)[popcounts(n)] / (1 << n)
-        np.testing.assert_array_equal(spec.scaled_tau.astype(np.float64), expected)
-        assert spec.scaled_tau is spec.scaled_tau
+        np.testing.assert_array_equal(laid_out.astype(np.float64), expected)
+        assert spec.tau_rows is rows
         with pytest.raises(ValueError):
-            spec.scaled_tau[0] = 1.0
+            rows[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n", range(1, 19))
+@pytest.mark.parametrize("inplace", [False, True])
+def test_apply_u_has_the_bits_of_the_whole_table_product(n, inplace):
+    # one piece up to n = 13, many pieces above
+    x = np.random.default_rng(70 + n).standard_normal(1 << n)
+    for alpha in sorted({0, n // 2, max(n - 3, 0), n}):
+        spec = MixerSpec(n, alpha=alpha)
+        want = whole_table_u(spec, x)
+        got = apply_u(spec, x.copy(), inplace=inplace)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 9, 16])

@@ -50,3 +50,6 @@ qlsat generate --out-dir wide --ensemble prespecified-solution --n 70 --m 300 --
 qlsat run --ensemble random --n 12 --k 5 --m 200 --trials 3 --seed 2
 qlsat generate --out-dir cnt --ensemble random-soluble --n 14 --m 56 --trials 3 --seed 4 \
     --count-solutions
+qlsat run --ensemble random-soluble --n 16 --m 64 --trials 2 --seed 9 --policy neighborhood
+qlsat run --ensemble random --n 15 --m 60 --trials 2 --seed 9 --alpha 3 --histograms --format csv
+qlsat run --ensemble random --n 17 --m 0 --trials 1 --seed 9 --policy neighborhood
