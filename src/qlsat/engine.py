@@ -37,6 +37,9 @@ from .sat import DEFAULT_FULL_LIMIT, SatProblem, check_full_capacity, conflict_v
 # temporaries of a few pieces, not of the state.
 READOUT_PIECE = 1 << 13
 
+# MixerSpec(n) of the last n run without a mixer: same-n trials share weights
+_default_mixer = functools.lru_cache(maxsize=1)(MixerSpec)
+
 
 @dataclass
 class RunResult:
@@ -80,7 +83,7 @@ def solution_readout(conflicts: np.ndarray) -> Callable[[np.ndarray], float]:
     solved = conflicts == 0
     if np.count_nonzero(solved) <= READOUT_PIECE:
         solutions = np.flatnonzero(solved)
-        return lambda x: float(np.sum(x[solutions] ** 2))
+        return lambda x: float((x[solutions] ** 2).sum())
     return lambda x: math.fsum(
         np.sum(x[lo : lo + READOUT_PIECE][conflicts[lo : lo + READOUT_PIECE] == 0] ** 2)
         for lo in range(0, len(x), READOUT_PIECE)
@@ -155,9 +158,12 @@ def apply_signs(x: np.ndarray, signs: np.ndarray, table: np.ndarray) -> np.ndarr
     assignment's count, so no 2**n phase vector and no 2**n gather index is
     ever made, only one piece of each.  Returns x.
     """
+    if len(x) <= READOUT_PIECE:  # one piece: the whole state
+        x *= signs.take(table)
+        return x
     for lo in range(0, len(x), READOUT_PIECE):
         hi = lo + READOUT_PIECE
-        x[lo:hi] *= np.take(signs, table[lo:hi])
+        x[lo:hi] *= signs.take(table[lo:hi])
     return x
 
 
@@ -172,9 +178,10 @@ def run_trial(
     """Evolve an instance for up to min(j_max, policy cap) steps.
 
     Solutions and conflict counts come from exhaustive evaluation, so
-    this engine is limited to moderate n (see ``limit``).
+    this engine is limited to moderate n (see ``limit``).  Without ``mixer``,
+    same-n trials in a row share one ``MixerSpec(n)``.
     """
-    spec = mixer if mixer is not None else MixerSpec(problem.n)
+    spec = mixer if mixer is not None else _default_mixer(problem.n)
     if spec.n != problem.n:
         raise ValueError(f"mixer is for n={spec.n}, problem has n={problem.n}")
     resolved = resolve_policy(policy, problem.n, problem.m, problem.k)

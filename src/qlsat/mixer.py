@@ -20,7 +20,8 @@ The fast path applies U as transform, per-index multiply by tau_h / N
 is the Kronecker product of n 2x2 Hadamards, so it factors into passes
 that each apply the 16x16 Sylvester Hadamard along one group of four index
 bits (Fino & Algazi, IEEE Trans. Computers C-25, 1976): ceil(n/4) matmul
-passes, done in place over cache-sized blocks.
+passes, done in place over cache-sized blocks, planned once per size: up
+to n = 15 the vector is one block, and a pass one reshape and one matmul.
 """
 
 from __future__ import annotations
@@ -128,7 +129,6 @@ def popcounts(n: int) -> np.ndarray:
     return pc
 
 
-@lru_cache(maxsize=RADIX_BITS)
 def sylvester(bits: int) -> np.ndarray:
     """The 2**bits-point Hadamard matrix (-1)**|r & c| (read-only)."""
     h = np.ones((1, 1))
@@ -138,27 +138,42 @@ def sylvester(bits: int) -> np.ndarray:
     return h
 
 
-def _transform_pass(a: np.ndarray, done: int, bits: int) -> None:
-    """Apply the 2**bits-point Hadamard along index bits done..done+bits-1.
+@lru_cache(maxsize=None)
+def _plan(n: int) -> tuple:
+    """Per pass of the n-bit transform: view shape, Sylvester matrix, whether
+    it multiplies from the right (the 2-D view of pass 0: a stack of (16, 1)
+    columns is slow), and block extents of about CHUNK entries, or None."""
+    plan = []
+    for done in range(0, n, RADIX_BITS):
+        bits = min(RADIX_BITS, n - done)
+        r, s = 1 << bits, 1 << done
+        shape = (-1, r) if s == 1 else (-1, r, s)
+        extents = (CHUNK // r, r) if s == 1 else (max(1, CHUNK // (r * s)), min(s, CHUNK // r))
+        plan.append((shape, sylvester(bits), s == 1, None if 1 << n <= CHUNK else extents))
+    return tuple(plan)
 
-    Works in place on the ``(-1, 2**bits, 2**done)`` view, one block of
-    about CHUNK entries per matmul: whole leading slices while they fit,
-    else column blocks of one slice.
-    """
-    h = sylvester(bits)
-    r, s = 1 << bits, 1 << done
-    if s == 1:  # one 2-D matmul per block; a stack of (r, 1) columns is slow
-        flat = a.reshape(-1, r)
-        for i in range(0, len(flat), CHUNK // r):
-            blk = flat[i : i + CHUNK // r]
-            blk[...] = blk @ h
-        return
-    view = a.reshape(-1, r, s)
-    rows, cols = max(1, CHUNK // (r * s)), min(s, CHUNK // r)
-    for i in range(0, len(view), rows):
-        for c in range(0, s, cols):
-            blk = view[i : i + rows, :, c : c + cols]
-            blk[...] = h @ blk
+
+def _transform(a: np.ndarray) -> np.ndarray:
+    """Transform the contiguous float64 vector a by its plan, in place; returns a."""
+    for shape, h, right, extents in _plan(a.size.bit_length() - 1):
+        view = a.reshape(shape)
+        if extents is None:
+            view[...] = view @ h if right else h @ view
+            continue
+        rows, cols = extents
+        for i in range(0, len(view), rows):
+            for c in range(0, view.shape[-1], cols):
+                blk = view[i : i + rows, ..., c : c + cols]
+                blk[...] = blk @ h if right else h @ blk
+    return a
+
+
+def _work_vector(x: np.ndarray, inplace: bool) -> np.ndarray:
+    """x as the float64 vector a transform works on: x itself or a copy."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 1 or a.size == 0 or a.size & (a.size - 1):
+        raise ValueError("length must be a power of two")
+    return a if inplace and a.flags.c_contiguous else a.copy()
 
 
 def fwht(x: np.ndarray, inplace: bool = False) -> np.ndarray:
@@ -166,19 +181,13 @@ def fwht(x: np.ndarray, inplace: bool = False) -> np.ndarray:
 
     Pass p multiplies the ``(-1, 16, 2**(4p))`` view by the 16x16
     Sylvester Hadamard; the last pass takes the n mod 4 bits left over.
-    Satisfies fwht(fwht(x)) == len(x) * x up to rounding.  O(n * 2**n)
-    time; the only extra memory is one block.  ``inplace`` transforms x
-    itself when it is a contiguous float64 array, else a copy.
+    The passes are planned once per n: one matmul each up to CHUNK entries,
+    one per block of about CHUNK above.  Satisfies fwht(fwht(x)) == len(x) * x
+    up to rounding.  O(n * 2**n) time; the only extra memory is one block.
+    ``inplace`` transforms x itself when it is a contiguous float64 array,
+    else a copy.
     """
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1 or a.size == 0 or a.size & (a.size - 1):
-        raise ValueError("length must be a power of two")
-    if not (inplace and a.flags.c_contiguous):
-        a = a.copy()
-    n = a.size.bit_length() - 1
-    for done in range(0, n, RADIX_BITS):
-        _transform_pass(a, done, min(RADIX_BITS, n - done))
-    return a
+    return _transform(_work_vector(x, inplace))
 
 
 def apply_u(spec: MixerSpec, x: np.ndarray, inplace: bool = False) -> np.ndarray:
@@ -195,12 +204,14 @@ def apply_u(spec: MixerSpec, x: np.ndarray, inplace: bool = False) -> np.ndarray
     """
     if len(x) != 1 << spec.n:
         raise ValueError(f"state length {len(x)} does not match n={spec.n}")
-    y = fwht(x, inplace=inplace)
-    rows = spec.tau_rows
-    piece = rows.shape[1]
-    for lo in range(0, len(y), piece):
-        y[lo : lo + piece] *= rows[(lo // piece).bit_count()]
-    return fwht(y, inplace=True)
+    y, rows = _transform(_work_vector(x, inplace)), spec.tau_rows
+    if len(rows) == 1:  # one piece: the whole state
+        y *= rows[0]
+    else:
+        piece = rows.shape[1]
+        for lo in range(0, len(y), piece):
+            y[lo : lo + piece] *= rows[(lo // piece).bit_count()]
+    return _transform(y)
 
 
 def dense_u(spec: MixerSpec, limit: int | None = DEFAULT_DENSE_LIMIT) -> np.ndarray:

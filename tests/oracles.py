@@ -1,6 +1,9 @@
 """Slow exact constructions that the tests use as references.
 
 ``butterfly_fwht`` is the radix-2 butterfly Walsh-Hadamard transform, and
+``blocked_fwht`` the radix-16 matmul passes over blocks of 2**15 entries,
+pass by pass and block by block, whose bits the package's planned
+transform keeps;
 ``index_conflict_vector`` and ``index_n_better_vector`` build the conflict
 and better-neighbor tables from a full index vector, one gather per bit;
 the package computes the same by radix-16 matmul passes and strided views.
@@ -8,7 +11,8 @@ the package computes the same by radix-16 matmul passes and strided views.
 simple threshold compared in exact rational arithmetic as v * q > p;
 ``oracle_schedule`` gathers its tables by the int64 tables for every step
 up front, ``tau_vector`` gives the mixing weight's sign by Hamming weight,
-``whole_table_u`` mixes with one 2**n table of weights, and
+``whole_table_u`` mixes with one 2**n table of weights between two
+``blocked_fwht``, and
 ``oracle_trial`` evolves a trial from these.
 
 ``n_better`` counts improving single flips of one assignment by direct
@@ -47,7 +51,6 @@ from qlsat.engine import select_best
 from qlsat.mixer import (
     DEFAULT_DENSE_LIMIT,
     MixerSpec,
-    fwht,
     kernel_rows,
     popcounts,
     u_numerators,
@@ -224,6 +227,61 @@ def butterfly_fwht(x: np.ndarray, inplace: bool = False) -> np.ndarray:
     return a
 
 
+# Index bits per pass and float64 entries per matmul of ``blocked_fwht``.
+RADIX_BITS = 4
+CHUNK = 1 << 15
+
+
+def sylvester(bits: int) -> np.ndarray:
+    """The 2**bits-point Hadamard matrix (-1)**|r & c|."""
+    h = np.ones((1, 1))
+    for _ in range(bits):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def _transform_pass(a: np.ndarray, done: int, bits: int) -> None:
+    """Apply the 2**bits-point Hadamard along index bits done..done+bits-1.
+
+    Works in place on the ``(-1, 2**bits, 2**done)`` view, one block of
+    about CHUNK entries per matmul: whole leading slices while they fit,
+    else column blocks of one slice.
+    """
+    h = sylvester(bits)
+    r, s = 1 << bits, 1 << done
+    if s == 1:  # one 2-D matmul per block; a stack of (r, 1) columns is slow
+        flat = a.reshape(-1, r)
+        for i in range(0, len(flat), CHUNK // r):
+            blk = flat[i : i + CHUNK // r]
+            blk[...] = blk @ h
+        return
+    view = a.reshape(-1, r, s)
+    rows, cols = max(1, CHUNK // (r * s)), min(s, CHUNK // r)
+    for i in range(0, len(view), rows):
+        for c in range(0, s, cols):
+            blk = view[i : i + rows, :, c : c + cols]
+            blk[...] = h @ blk
+
+
+def blocked_fwht(x: np.ndarray, inplace: bool = False) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform, radix-16 passes block by block.
+
+    Pass p multiplies the ``(-1, 16, 2**(4p))`` view by the 16x16
+    Sylvester Hadamard; the last pass takes the n mod 4 bits left over.
+    ``inplace`` transforms x itself when it is a contiguous float64 array,
+    else a copy.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 1 or a.size == 0 or a.size & (a.size - 1):
+        raise ValueError("length must be a power of two")
+    if not (inplace and a.flags.c_contiguous):
+        a = a.copy()
+    n = a.size.bit_length() - 1
+    for done in range(0, n, RADIX_BITS):
+        _transform_pass(a, done, min(RADIX_BITS, n - done))
+    return a
+
+
 def index_conflict_vector(
     problem: SatProblem, limit: int | None = DEFAULT_FULL_LIMIT
 ) -> np.ndarray:
@@ -290,7 +348,7 @@ def tau_vector(spec: MixerSpec) -> np.ndarray:
 def whole_table_u(spec: MixerSpec, x: np.ndarray) -> np.ndarray:
     """U @ x with every index's weight tau / 2**n in one 2**n table."""
     weights = tau_vector(spec)[popcounts(spec.n)] / (1 << spec.n)
-    return fwht(fwht(x) * weights)
+    return blocked_fwht(blocked_fwht(x) * weights)
 
 
 def oracle_trial(problem: SatProblem, spec: PolicySpec) -> tuple[list[float], int | None]:

@@ -1,5 +1,6 @@
 """Full-state evolution: worked examples, norm drift, best-step selection."""
 
+import functools
 import math
 import tracemalloc
 import weakref
@@ -175,6 +176,35 @@ def test_mixer_size_mismatch_rejected():
         run_trial(two_negated_units(), PolicySpec(KIND_SIMPLE), mixer=MixerSpec(3))
 
 
+def test_trials_without_a_mixer_build_the_mixing_weights_once_per_n(monkeypatch):
+    built = []  # (n, weak reference to the spec) per build of the weights
+    held = []  # the n of each earlier spec still alive at a build
+    build = MixerSpec.__dict__["tau_rows"].func
+
+    def counted(spec):
+        held.extend(n for n, ref in built if ref() is not None)
+        built.append((spec.n, weakref.ref(spec)))
+        return build(spec)
+
+    cached = functools.cached_property(counted)
+    cached.__set_name__(MixerSpec, "tau_rows")
+    monkeypatch.setattr(MixerSpec, "tau_rows", cached)
+    problems = {
+        n: [generate(EnsembleSpec(n=n, k=3, m=2 * n, kind="random", seed=s)).problem
+            for s in range(3)]
+        for n in (6, 7, 8)
+    }
+    run_trial(problems[6][0], PolicySpec(KIND_SIMPLE))  # moves any earlier n off
+    built.clear()
+    for problem in problems[7]:
+        run_trial(problem, PolicySpec(KIND_NEIGHBORHOOD))
+    assert [n for n, _ in built] == [7]
+    run_trial(problems[8][0], PolicySpec(KIND_SIMPLE))
+    assert [n for n, _ in built] == [7, 8]
+    assert held == []  # the n = 7 spec was gone before the n = 8 weights were built
+    assert built[0][1]() is None
+
+
 def test_j_max_truncates_and_cap_applies():
     problem = generate(EnsembleSpec(n=6, k=3, m=24, kind="random", seed=9)).problem
     # c_start = 3 gives a cap of 4 steps
@@ -271,10 +301,11 @@ def test_run_trial_peak_is_at_most_2_5_state_vectors(case, kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the state, one-byte tables, the mixing weights each trial's new spec
-    # builds (0.25) and fixed-size transform, readout and conflict-table
-    # blocks: 1.88-2.02 measured over these cases; one more state held for
-    # the whole trial reads 2.88-3.02
+    # the state, one-byte tables and fixed-size transform, readout and
+    # conflict-table blocks: 1.63-1.77 measured over these cases, the
+    # mixing weights (0.25) being those of the spec the warm-up left for
+    # this n; with a new spec per trial 1.88-2.02, and one more state held
+    # for the whole trial reads 2.63-2.77
     assert (peak - base) / (8 << n) <= 2.5
 
 
@@ -349,6 +380,7 @@ def test_peak_stays_at_2_5_state_vectors_over_many_steps_of_wide_sign_tables():
     finally:
         tracemalloc.stop()
     assert result.steps == 491
-    # 2.23 measured: the bound of the test above, neared here by the
-    # two-byte conflict table and one 64 KiB block of signs held in a step
+    # 1.98 measured (2.23 with a new spec per trial): the bound of the test
+    # above, neared here by the two-byte conflict table and one 64 KiB block
+    # of signs held in a step
     assert (peak - base) / (8 << n) <= 2.5

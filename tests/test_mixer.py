@@ -5,9 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import butterfly_fwht, dense_w_hat, s_coefficient, tau_vector, whole_table_u
+from oracles import (
+    blocked_fwht,
+    butterfly_fwht,
+    dense_w_hat,
+    s_coefficient,
+    tau_vector,
+    whole_table_u,
+)
 
 from qlsat.mixer import (
+    CHUNK,
     DEFAULT_DENSE_LIMIT,
     MixerSpec,
     apply_u,
@@ -17,6 +25,7 @@ from qlsat.mixer import (
     popcounts,
     u_coefficients,
     u_numerators,
+    _plan,
 )
 from qlsat.sat import CapacityError
 
@@ -125,6 +134,31 @@ def test_radix_transform_matches_the_butterfly(n):
     assert np.abs(y - expected).max() <= tol
 
 
+@pytest.mark.parametrize("n", range(1, 21))
+def test_transform_has_the_bits_of_the_blocked_passes(n):
+    # one block per pass up to n = 15, blocks of CHUNK entries from n = 16
+    rng = np.random.default_rng(90 + n)
+    x = rng.standard_normal(1 << n)
+    want = blocked_fwht(x).tobytes()
+    assert fwht(x).tobytes() == want
+    y = x.copy()
+    assert fwht(y, inplace=True) is y and y.tobytes() == want
+    base = rng.standard_normal(2 << n)
+    before = base.copy()
+    view = base[::2]
+    assert fwht(view, inplace=True).tobytes() == blocked_fwht(view).tobytes()
+    np.testing.assert_array_equal(base, before)
+
+
+def test_one_matmul_per_pass_up_to_chunk_entries():
+    assert CHUNK == 1 << 15
+    for n in range(1, 16):
+        assert all(extents is None for *_, extents in _plan(n))
+    for n in (16, 17, 20):
+        assert all(extents is not None for *_, extents in _plan(n))
+    assert _plan(16) is _plan(16)
+
+
 def test_inplace_transform_of_a_strided_view_returns_the_transform():
     base = np.random.default_rng(3).standard_normal(32)
     view = base[::2]
@@ -187,10 +221,11 @@ def test_tau_rows_are_shared_and_read_only():
             rows[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("n", range(1, 19))
+@pytest.mark.parametrize("n", range(1, 21))
 @pytest.mark.parametrize("inplace", [False, True])
 def test_apply_u_has_the_bits_of_the_whole_table_product(n, inplace):
-    # one piece up to n = 13, many pieces above
+    # one piece up to n = 13, many pieces above; one transform block up to
+    # n = 15, many above
     x = np.random.default_rng(70 + n).standard_normal(1 << n)
     for alpha in sorted({0, n // 2, max(n - 3, 0), n}):
         spec = MixerSpec(n, alpha=alpha)

@@ -53,3 +53,7 @@ qlsat generate --out-dir cnt --ensemble random-soluble --n 14 --m 56 --trials 3 
 qlsat run --ensemble random-soluble --n 16 --m 64 --trials 2 --seed 9 --policy neighborhood
 qlsat run --ensemble random --n 15 --m 60 --trials 2 --seed 9 --alpha 3 --histograms --format csv
 qlsat run --ensemble random --n 17 --m 0 --trials 1 --seed 9 --policy neighborhood
+qlsat sweep --axis n --values 1:6 --k 1 --m-ratio 1 --ensemble prespecified-solution \
+    --trials 4 --seed 11 --alpha 0 --policy neighborhood
+qlsat run --ensemble random-soluble --n 4 --k 2 --m 6 --trials 3 --seed 11 --alpha 0 \
+    --histograms --format csv

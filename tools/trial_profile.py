@@ -19,8 +19,13 @@ thread, and each child prints one line:
 
 It then prints the median time, over REPEATS calls after one warm-up, of
 each layer of the trial on the same instance: ``conflict_vector``,
-``n_better_vector``, and one step, split into applying the first step's
-signs and ``apply_u``.
+``n_better_vector``, the trial's set-up (all of ``run_trial`` before its
+first step, timed with ``engine.evolve`` stubbed out), the build of the
+mixing weights of a new ``MixerSpec(N)`` (a trial that builds its own spec
+pays it in its first step), one step, split into applying the first
+step's signs and ``apply_u``, and the solution readout taken after every
+step.  Comparing two checkouts with ``--src`` at N = 8-14 shows how much
+of a millisecond trial these fixed costs are.
 
 ``--compact`` profiles ``compact_run(N)`` on the shell-space engine
 instead, one child per policy.  Each prints the median time, over
@@ -92,8 +97,8 @@ def profile(n: int, src: str, kind: str, clauses: bool) -> None:
 
     print(
         f"{kind:<16} n={n} m={problem.m}: "
-        f"wall median {statistics.median(walls):.3f} s "
-        f"(min {min(walls):.3f}, max {max(walls):.3f}, {len(walls)} trials), "
+        f"wall median {statistics.median(walls) * 1e3:.3f} ms "
+        f"(min {min(walls) * 1e3:.3f}, max {max(walls) * 1e3:.3f}, {len(walls)} trials), "
         f"traced peak {peak / vector:.2f} vectors, "
         f"resident growth {rss_growth / vector:.2f} vectors ({rss_growth / 2**20:.0f} MiB)",
         flush=True,
@@ -108,20 +113,34 @@ def profile(n: int, src: str, kind: str, clauses: bool) -> None:
     apply_signs = getattr(
         engine, "apply_signs", lambda x, signs, table: x.__imul__(signs.astype(np.int8)[table])
     )
+    p_soln_of = engine.solution_readout(conflicts)
+
+    def setup():
+        evolve, engine.evolve = engine.evolve, lambda *args, **kwargs: None
+        try:
+            run_trial(problem, policy)
+        finally:
+            engine.evolve = evolve
+
     times = {
         name: median_ms(call)
         for name, call in (
             ("conflict_vector", lambda: conflict_vector(problem)),
             ("n_better_vector", lambda: n_better_vector(conflicts)),
+            ("set-up", setup),
+            ("weights", lambda: MixerSpec(n).tau_rows),
             ("signs", lambda: apply_signs(x, signs, table)),
             ("apply_u", lambda: apply_u(spec, x, inplace=True)),
+            ("readout", lambda: p_soln_of(x)),
         )
     }
     print(
-        f"{'':<16} layers: conflict_vector {times['conflict_vector']:.2f} ms, "
-        f"n_better_vector {times['n_better_vector']:.2f} ms, "
-        f"one step {times['signs'] + times['apply_u']:.2f} ms "
-        f"(signs {times['signs']:.2f}, apply_u {times['apply_u']:.2f})",
+        f"{'':<16} layers: conflict_vector {times['conflict_vector']:.3f} ms, "
+        f"n_better_vector {times['n_better_vector']:.3f} ms, "
+        f"set-up {times['set-up']:.3f} ms, weights {times['weights']:.3f} ms, "
+        f"one step {times['signs'] + times['apply_u']:.3f} ms "
+        f"(signs {times['signs']:.3f}, apply_u {times['apply_u']:.3f}), "
+        f"readout {times['readout']:.3f} ms",
         flush=True,
     )
 
