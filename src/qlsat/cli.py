@@ -10,7 +10,9 @@ Records are JSON lines by default; --format csv emits the same values as a
 flat table.  Every record embeds the resolved configuration, so re-running
 with the same flags reproduces the output byte for byte.  Each subcommand
 takes only the options it reads, and --k defaults to 1 for 1-SAT (the
-compact engine, max-constrained-1sat), else 3.
+compact engine, max-constrained-1sat), else 3.  Every flag is defaulted and
+checked before a command runs: a bad one (say a --c-start under the
+neighborhood policy, or --threads 0) exits 1 before any trial or file.
 
 ``run`` and ``sweep`` share one batch path.  A ``run`` batch is one record
 per instance, and an instance that fails (a bad file, a failed inline
@@ -67,18 +69,15 @@ EXIT_VERIFY = 2
 EXIT_CAPACITY = 3
 
 ENV_PREFIX = "QLSAT_"
+FORMATS = ("jsonl", "csv")
 
 
 class _UsageError(Exception):
     pass
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(ENV_PREFIX + name)
-    return int(raw) if raw else fallback
-
-
 def _env_str(name: str, fallback: str) -> str:
+    """A flag's default, left a string: argparse types it only where the flag is read."""
     return os.environ.get(ENV_PREFIX + name) or fallback
 
 
@@ -106,48 +105,6 @@ def _parse_values(text: str) -> list[Fraction]:
     if not out:
         raise _UsageError("empty value list")
     return out
-
-
-def _policy_from_args(args: argparse.Namespace) -> PolicySpec:
-    c_start = Fraction(args.c_start) if args.c_start is not None else None
-    return PolicySpec(kind=args.policy, c_start=c_start, n_start=args.n_start)
-
-
-def _policy_config(args: argparse.Namespace) -> dict:
-    return {
-        "kind": args.policy,
-        "c_start": args.c_start,
-        "n_start": args.n_start,
-        "j_max": args.j_max,
-        "alpha": args.alpha,
-    }
-
-
-def _trial(
-    args: argparse.Namespace,
-    n: int,
-    m: int,
-    problem: SatProblem | None,
-    mixer_of: Callable[[int, int | None], MixerSpec],
-) -> engine_mod.RunResult:
-    """One trial on the engine ``--engine`` names; the compact one needs no problem.
-
-    ``mixer_of`` is the batch's ``_mixer_cache``, so the mixing weights a
-    spec builds on first use are built once per run of same-n trials.
-    """
-    policy = _policy_from_args(args)
-    if args.engine == "compact":
-        return compact_mod.compact_run(
-            n, policy, j_max=args.j_max, m=m, record_histograms=args.histograms
-        )
-    return engine_mod.run_trial(
-        problem,
-        policy,
-        mixer=mixer_of(n, args.alpha),
-        j_max=args.j_max,
-        record_histograms=args.histograms,
-        limit=args.full_limit,
-    )
 
 
 def _mixer_cache() -> Callable[[int, int | None], MixerSpec]:
@@ -178,12 +135,89 @@ def _map(func, items: list, threads: int) -> list:
     return [func(item) for item in items]
 
 
-def _check_compact_flags(args: argparse.Namespace) -> None:
-    """Refuse full-engine-only flags under --engine compact."""
-    if args.alpha is not None:
-        raise _UsageError("--alpha only applies to the full engine")
-    if args.k != 1:
-        raise _UsageError("the compact engine is 1-SAT only")
+# --- flags --------------------------------------------------------------------
+
+# The keys of a record's ``config`` in print order, and those of its
+# ``policy`` after ``kind`` (the --policy flag).
+_CONFIG_KEYS = {
+    "run": ("command", "engine", "policy", "seed", "trials", "threads", "full_limit",
+            "ensemble", "n", "k", "m", "planted", "histograms"),
+    "sweep": ("command", "engine", "axis", "values", "policy", "seed", "trials", "threads",
+              "full_limit", "ensemble", "k", "m", "m_ratio", "planted"),
+}
+_POLICY_KEYS = ("c_start", "n_start", "j_max", "alpha")
+
+
+def _config(args: argparse.Namespace) -> dict:
+    """The flags that reproduce a ``run`` or ``sweep``, as its records echo them."""
+    config = {key: getattr(args, key) for key in _CONFIG_KEYS[args.command]}
+    config["policy"] = {"kind": args.policy, **{key: getattr(args, key) for key in _POLICY_KEYS}}
+    return config
+
+
+def _check_args(args: argparse.Namespace) -> None:
+    """Fill in the flag defaults and refuse bad flags, before any command runs.
+
+    ``run`` and ``sweep`` also get the batch's one PolicySpec as
+    ``args.policy_spec``, so a bad policy flag fails the command, not each
+    trial.
+    """
+    if args.format not in FORMATS:  # argparse checks choices only of a given flag
+        raise _UsageError(f"QLSAT_FORMAT must be one of {', '.join(FORMATS)}, got {args.format!r}")
+    files = getattr(args, "instances", None)
+    if files:  # files bring their own instances
+        given = [f"--{name}" for name in ("trials", "n", "m", "ensemble", "planted")
+                 if getattr(args, name) is not None]
+        if given:
+            raise _UsageError(f"instance files take no inline-batch flag: {', '.join(given)}")
+    if args.trials is None:
+        args.trials = 1
+    for name, least in (("trials", 0), ("j_max", 0), ("alpha", 0), ("threads", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise _UsageError(f"--{name.replace('_', '-')} must be {least} or more, got {value}")
+    compact = getattr(args, "engine", None) == "compact"  # generate has no --engine
+    if args.k is None:
+        args.k = 1 if compact or args.ensemble == "max-constrained-1sat" else 3
+    if args.command != "generate":
+        if compact and args.alpha is not None:
+            raise _UsageError("--alpha only applies to the full engine")
+        if compact and args.k != 1:
+            raise _UsageError("the compact engine is 1-SAT only")
+        c_start = None if args.c_start is None else Fraction(args.c_start)
+        args.policy_spec = PolicySpec(args.policy, c_start, args.n_start)
+    if args.command == "sweep":
+        if compact:  # a point is one shell-engine trial, which draws no instance
+            if args.ensemble is not None or args.planted is not None:
+                raise _UsageError("a compact sweep takes no --ensemble or --planted")
+            if args.trials != 1:
+                raise _UsageError("a compact sweep runs one trial per point")
+        elif args.ensemble is None:
+            raise _UsageError("a full-engine sweep needs --ensemble")
+        # the axis sets n or m; a sizing flag it does not read is refused
+        if args.axis == "n":
+            if args.n is not None:
+                raise _UsageError("axis n takes n from --values, not --n")
+            if args.m is not None and args.m_ratio is not None:
+                raise _UsageError("give --m or --m-ratio, not both")
+        elif args.n is None:
+            raise _UsageError("axis m-over-n needs a fixed --n")
+        elif args.m is not None or args.m_ratio is not None:
+            raise _UsageError("axis m-over-n takes m from --values, not --m or --m-ratio")
+        return
+    if compact:
+        if files:
+            raise _UsageError("the compact engine runs inline planted 1-SAT only")
+        args.ensemble = args.ensemble or "max-constrained-1sat"
+        if args.ensemble != "max-constrained-1sat":
+            raise _UsageError("the compact engine needs --ensemble max-constrained-1sat")
+    if not files:  # an inline batch
+        if args.ensemble is None:
+            raise _UsageError("an inline batch needs --ensemble")
+        if args.n is None:
+            raise _UsageError("--n is required")
+        if args.m is None and args.ensemble != "max-constrained-1sat":
+            raise _UsageError("--m is required for this ensemble")
 
 
 # --- record emission ----------------------------------------------------------
@@ -261,21 +295,14 @@ def _csv_cell(value: str) -> str:
 
 
 def _ensemble_from_args(args: argparse.Namespace, seed: int) -> EnsembleSpec:
-    if args.ensemble is None:
-        raise _UsageError("an inline batch needs --ensemble")
-    n, k, m = args.n, args.k, args.m
-    if n is None:
-        raise _UsageError("--n is required")
-    if args.ensemble == "max-constrained-1sat" and m is None:
-        m = n
-    if m is None:
-        raise _UsageError("--m is required for this ensemble")
-    return EnsembleSpec(n=n, k=k, m=m, kind=args.ensemble, seed=seed, planted=args.planted)
+    m = args.n if args.m is None else args.m  # only max-constrained-1sat omits --m
+    return EnsembleSpec(
+        n=args.n, k=args.k, m=m, kind=args.ensemble, seed=seed, planted=args.planted
+    )
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for i in range(args.trials):
         spec = _ensemble_from_args(args, instance_seed_sequence(args.seed, i))
@@ -296,6 +323,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         elif args.check_soluble:
             soluble = backtrack_solve(inst.problem) is not None
         meta["soluble"] = soluble
+        out_dir.mkdir(parents=True, exist_ok=True)  # not before a first instance
         stem = out_dir / f"inst-{i:05d}"
         stem.with_suffix(".cnf").write_text(sat_mod.to_dimacs(inst.problem))
         stem.with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n")
@@ -352,11 +380,9 @@ def _load_instances(
     for i in range(args.trials):
         desc = {"source": "inline", "index": i, "n": args.n, "k": args.k, "m": args.m}
         spec = None
-        if args.engine == "full" or args.ensemble is not None:
+        if args.ensemble is not None:
             spec = _ensemble_from_args(args, instance_seed_sequence(args.seed, i))
-            desc.update(
-                n=spec.n, k=spec.k, m=spec.m, kind=spec.kind, seed=spec.seed, planted=None
-            )
+            desc.update(m=spec.m, kind=spec.kind, seed=spec.seed, planted=None)
         items.append((desc, spec))
     return items
 
@@ -368,14 +394,25 @@ def _run_one(item, args, config, mixer_of) -> dict:
         record["error"] = desc.pop("error")
         return record
     try:
-        problem = source
-        if isinstance(source, EnsembleSpec):
-            if args.engine == "compact":  # the shell engine reads only the planted value
-                problem, desc["planted"] = None, draw_planted(source)
-            else:
+        if args.engine == "compact":
+            if source is not None:  # the shell engine reads only the planted value
+                desc["planted"] = draw_planted(source)
+            result = compact_mod.compact_run(
+                desc["n"], args.policy_spec, j_max=args.j_max, m=desc["m"],
+                record_histograms=args.histograms,
+            )
+        else:
+            if isinstance(source, EnsembleSpec):
                 inst = generate_instance(source)
-                problem, desc["planted"] = inst.problem, inst.planted
-        result = _trial(args, desc["n"], desc["m"], problem, mixer_of)
+                source, desc["planted"] = inst.problem, inst.planted
+            result = engine_mod.run_trial(
+                source,
+                args.policy_spec,
+                mixer=mixer_of(desc["n"], args.alpha),
+                j_max=args.j_max,
+                record_histograms=args.histograms,
+                limit=args.full_limit,
+            )
     except CapacityError:
         raise
     except Exception as exc:  # per-instance failures stay in the batch
@@ -390,36 +427,12 @@ def _run_one(item, args, config, mixer_of) -> dict:
         "final_p": float(result.p_soln_by_step[-1]),
     }
     if args.histograms:
-        record["result"]["histograms"] = [
-            [float(v) for v in h] for h in result.histograms
-        ]
+        record["result"]["histograms"] = [[float(v) for v in h] for h in result.histograms]
     return record
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.engine == "compact":
-        _check_compact_flags(args)
-        if args.instances:
-            raise _UsageError("the compact engine runs inline planted 1-SAT only")
-        if args.ensemble is None:
-            args.ensemble = "max-constrained-1sat"
-        if args.ensemble != "max-constrained-1sat":
-            raise _UsageError("the compact engine needs --ensemble max-constrained-1sat")
-    config = {
-        "command": "run",
-        "engine": args.engine,
-        "policy": _policy_config(args),
-        "seed": args.seed,
-        "trials": args.trials,
-        "threads": args.threads,
-        "full_limit": args.full_limit,
-        "ensemble": args.ensemble,
-        "n": args.n,
-        "k": args.k,
-        "m": args.m,
-        "planted": args.planted,
-        "histograms": args.histograms,
-    }
+    config = _config(args)
     items = _load_instances(args)
     _check_capacity(args, (desc["n"] for desc, _ in items if "error" not in desc))
     mixer_of = _mixer_cache()
@@ -432,16 +445,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sweep_points(args: argparse.Namespace) -> list[dict]:
-    """The points of the axis; a sizing flag the axis does not read is refused."""
-    if args.axis == "n":
-        if args.n is not None:
-            raise _UsageError("axis n takes n from --values, not --n")
-        if args.m is not None and args.m_ratio is not None:
-            raise _UsageError("give --m or --m-ratio, not both")
-    elif args.n is None:
-        raise _UsageError("axis m-over-n needs a fixed --n")
-    elif args.m is not None or args.m_ratio is not None:
-        raise _UsageError("axis m-over-n takes m from --values, not --m or --m-ratio")
+    """The points of the axis, with the n and m of each."""
     values = _parse_values(args.values)
     points = []
     for idx, value in enumerate(values):
@@ -513,31 +517,7 @@ def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> 
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.engine == "compact":
-        _check_compact_flags(args)
-        # a compact point is one shell-engine trial, which draws no instance
-        if args.ensemble is not None or args.planted is not None:
-            raise _UsageError("a compact sweep takes no --ensemble or --planted")
-        if args.trials != 1:
-            raise _UsageError("a compact sweep runs one trial per point")
-    elif args.ensemble is None:
-        raise _UsageError("a full-engine sweep needs --ensemble")
-    config = {
-        "command": "sweep",
-        "engine": args.engine,
-        "axis": args.axis,
-        "values": args.values,
-        "policy": _policy_config(args),
-        "seed": args.seed,
-        "trials": args.trials,
-        "threads": args.threads,
-        "full_limit": args.full_limit,
-        "ensemble": args.ensemble,
-        "k": args.k,
-        "m": args.m,
-        "m_ratio": args.m_ratio,
-        "planted": args.planted,
-    }
+    config = _config(args)
     points = _sweep_points(args)
     _check_capacity(args, (point["n"] for point in points))
     records = _map(lambda p: _sweep_point_record(p, args, config), points, args.threads)
@@ -584,9 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=_env_int("SEED", 0))
+    common.add_argument("--seed", type=int, default=_env_str("SEED", "0"))
     common.add_argument(
-        "--format", choices=("jsonl", "csv"), default=_env_str("FORMAT", "jsonl")
+        "--format", choices=FORMATS, default=_env_str("FORMAT", "jsonl")
     )
     common.add_argument("--out", default="-", help="output path, - for stdout")
 
@@ -608,9 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
     policy.add_argument("--j-max", type=int)
     policy.add_argument("--engine", choices=("full", "compact"), default="full")
     policy.add_argument(
-        "--full-limit", type=int, default=_env_int("FULL_LIMIT", DEFAULT_FULL_LIMIT)
+        "--full-limit", type=int, default=_env_str("FULL_LIMIT", str(DEFAULT_FULL_LIMIT))
     )
-    policy.add_argument("--threads", type=int, default=_env_int("THREADS", 1))
+    policy.add_argument("--threads", type=int, default=_env_str("THREADS", "1"))
 
     p = sub.add_parser("generate", parents=[common, ensemble], help="write instance files")
     p.add_argument("--out-dir", required=True)
@@ -632,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="self-checks")
     p.add_argument("--alpha", type=int, help="inject a non-default mixing split")
     p.add_argument(
-        "--dense-limit", type=int, default=_env_int("DENSE_LIMIT", DENSE_LIMIT),
+        "--dense-limit", type=int, default=_env_str("DENSE_LIMIT", str(DENSE_LIMIT)),
         help="largest n for dense comparisons",
     )
     p.set_defaults(func=cmd_verify)
@@ -642,19 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "instances", None):  # files bring their own instances
-            given = [f"--{name}" for name in ("trials", "n", "m", "ensemble", "planted")
-                     if getattr(args, name) is not None]
-            if given:
-                raise _UsageError(f"instance files take no inline-batch flag: {', '.join(given)}")
-        if "trials" in args:
-            if args.trials is None:
-                args.trials = 1
-            elif args.trials < 0:
-                raise _UsageError(f"--trials must be 0 or more, got {args.trials}")
-        if "k" in args and args.k is None:  # verify has no --k, generate no --engine
-            compact = getattr(args, "engine", None) == "compact"
-            args.k = 1 if compact or args.ensemble == "max-constrained-1sat" else 3
+        if args.command != "verify":
+            _check_args(args)
         code = args.func(args)
         sys.stdout.flush()  # so a closed pipe shows here, not at exit
         return code

@@ -161,6 +161,6 @@ def compact_run(
         phi,
         sign_tables(resolved, n, m, j_max),
         lambda phi, signs: v @ (phi * signs[: m + 1]),
-        lambda phi: float(phi[0] ** 2),
+        lambda phi: float(phi[0] * phi[0]),
         histogram_of=np.square if record_histograms else None,
     )

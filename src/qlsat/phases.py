@@ -66,6 +66,10 @@ class PolicySpec:
                 raise ValueError("c_start must be non-negative")
         if self.n_start is not None and self.n_start < 0:
             raise ValueError("n_start must be non-negative")
+        if self.kind == KIND_SIMPLE and self.n_start is not None:
+            raise ValueError("n_start only applies to the neighborhood policy")
+        if self.kind == KIND_NEIGHBORHOOD and self.c_start is not None:
+            raise ValueError("c_start only applies to the simple-threshold policy")
 
 
 @dataclass(frozen=True)

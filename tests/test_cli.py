@@ -389,6 +389,24 @@ def test_run_histograms_flag(capsys):
         ["run", "x", "--m", "3"],
         ["run", "x", "--ensemble", "random-soluble"],
         ["run", "x", "--planted", "2"],
+        # a bad policy or batch flag fails the command, not each trial
+        *[
+            [*batch, *flags]
+            for batch in (
+                ["run", "--ensemble", "random", "--n", "6", "--m", "10", "--trials", "2"],
+                ["sweep", "--axis", "n", "--values", "6", "--ensemble", "random", "--m", "10"],
+            )
+            for flags in (
+                ["--c-start", "abc"],
+                ["--c-start", "-1"],
+                ["--n-start", "-1", "--policy", "neighborhood"],
+                ["--c-start", "3", "--policy", "neighborhood"],
+                ["--n-start", "2", "--policy", "simple-threshold"],
+                ["--j-max", "-1"],
+                ["--alpha", "-1"],
+                ["--threads", "0"],
+            )
+        ],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys, tmp_path):
@@ -396,6 +414,40 @@ def test_usage_errors_exit_one(argv, capsys, tmp_path):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert "error" in err.lower()
+
+
+def test_generate_makes_no_out_dir_when_it_fails_before_its_first_instance(capsys, tmp_path):
+    out_dir = tmp_path / "inst"
+    for flags in (
+        ["--ensemble", "random", "--n", "5"],  # no --m
+        ["--ensemble", "random", "--n", "5", "--m", "4", "--planted", "2"],
+        ["--ensemble", "random-soluble", "--n", "5", "--m", "70"],  # a hopeless spec
+    ):
+        code, out, err = run_cli(capsys, "generate", "--out-dir", str(out_dir), *flags)
+        assert code == 1 and out == "" and err.startswith("qlsat: error: ")
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,unechoed",
+    [
+        (["run", "--ensemble", "random", "--n", "6", "--m", "10"], {"format", "out", "instances"}),
+        (["sweep", "--axis", "n", "--values", "6", "--ensemble", "random", "--m", "10"],
+         {"format", "out", "n"}),
+    ],
+)
+def test_records_echo_every_flag_of_their_command(argv, unechoed, capsys):
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in sub.choices[argv[0]]._actions if a.dest != "help"}
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    (record,) = jsonl(out)
+    config = dict(record["config"])
+    policy = config.pop("policy")
+    policy["policy"] = policy.pop("kind")  # the --policy flag
+    assert (set(config) - {"command"}) | set(policy) == dests - unechoed
+    if argv[0] == "sweep":
+        assert record["point"]["n"] == 6
 
 
 def subcommand_options() -> dict[str, set[str]]:
@@ -767,6 +819,24 @@ def test_environment_overrides(capsys, monkeypatch):
     )
     assert code == 0
     assert jsonl(out)[0]["config"]["seed"] == 4
+
+
+def test_a_bad_environment_override_fails_only_the_commands_that_read_it(
+    capsys, monkeypatch, tmp_path
+):
+    monkeypatch.setenv("QLSAT_THREADS", "abc")
+    batch = ["--ensemble", "random", "--n", "5", "--m", "10"]
+    code, out, err = run_cli(capsys, "run", *batch)
+    assert code == 1 and out == "" and "--threads: invalid int value: 'abc'" in err
+    assert run_cli(capsys, "run", *batch, "--threads", "1")[0] == 0
+    assert run_cli(capsys, "generate", "--out-dir", str(tmp_path), *batch)[0] == 0
+    monkeypatch.setenv("QLSAT_THREADS", "0")
+    code, out, err = run_cli(capsys, "run", *batch)
+    assert code == 1 and "--threads must be 1 or more, got 0" in err
+    monkeypatch.delenv("QLSAT_THREADS")
+    monkeypatch.setenv("QLSAT_FORMAT", "xml")  # was written as csv
+    code, out, err = run_cli(capsys, "run", *batch)
+    assert code == 1 and out == "" and "QLSAT_FORMAT" in err
 
 
 def test_output_file_destination(tmp_path, capsys):

@@ -227,6 +227,17 @@ def test_shell_probabilities_sum_to_one_per_step():
         assert hist.shape == (31,)
 
 
+@pytest.mark.parametrize("kind", [KIND_SIMPLE, KIND_NEIGHBORHOOD])
+@pytest.mark.parametrize("n", [100, 300, 500])
+def test_solution_probability_is_the_first_histogram_entry(kind, n):
+    # both are the correctly rounded square of the zero-conflict amplitude;
+    # a scalar power missed it by an ulp at some steps of these runs (which
+    # steps depends on the BLAS thread count)
+    result = compact_run(n, PolicySpec(kind), record_histograms=True)
+    for p, hist in zip(result.p_soln_by_step, result.histograms, strict=True):
+        assert p == hist[0]
+
+
 def test_compact_weights_match_binomial_shells():
     weights = shell_weights(10, 6)
     for c in range(7):

@@ -38,6 +38,13 @@ def test_policy_spec_validation():
     assert PolicySpec(KIND_SIMPLE, c_start=3).c_start == Fraction(3)
 
 
+def test_policy_spec_refuses_the_start_of_the_other_policy():
+    with pytest.raises(ValueError, match="c_start only applies"):
+        PolicySpec(KIND_NEIGHBORHOOD, c_start=Fraction(3))
+    with pytest.raises(ValueError, match="n_start only applies"):
+        PolicySpec(KIND_SIMPLE, n_start=2)
+
+
 def simple_tables(c_start, m):
     """Sign tables over 0..m conflicts of the simple threshold from c_start."""
     policy = resolve_policy(PolicySpec(KIND_SIMPLE, c_start=c_start), n=m, m=m, k=1)

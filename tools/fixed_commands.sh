@@ -57,3 +57,5 @@ qlsat sweep --axis n --values 1:6 --k 1 --m-ratio 1 --ensemble prespecified-solu
     --trials 4 --seed 11 --alpha 0 --policy neighborhood
 qlsat run --ensemble random-soluble --n 4 --k 2 --m 6 --trials 3 --seed 11 --alpha 0 \
     --histograms --format csv
+qlsat run --engine compact --n 8 --alpha 2
+qlsat sweep --axis m-over-n --values 3 --n 8 --m 7 --ensemble random
