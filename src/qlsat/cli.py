@@ -31,13 +31,13 @@ verification failure, 3 capacity exceeded.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import json
 import math
 import os
 import sys
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -81,6 +81,14 @@ def _env_str(name: str, fallback: str) -> str:
     return os.environ.get(ENV_PREFIX + name) or fallback
 
 
+def _fraction(flag: str, text: str) -> Fraction:
+    """The text of a number flag as an exact Fraction, or a usage error naming the flag."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(f"{flag} takes numbers like 13/4 or 2.5, got {text!r}") from None
+
+
 def _parse_values(text: str) -> list[Fraction]:
     """Comma list of numbers; a:b:c tokens expand to a, a+c, ... up to b."""
     out: list[Fraction] = []
@@ -91,29 +99,22 @@ def _parse_values(text: str) -> list[Fraction]:
         if ":" in token:
             fields = token.split(":")
             if len(fields) not in (2, 3):
-                raise _UsageError(f"bad range token {token!r}; want start:stop[:step]")
-            start, stop = Fraction(fields[0]), Fraction(fields[1])
-            step = Fraction(fields[2]) if len(fields) == 3 else Fraction(1)
+                raise _UsageError(f"--values has a bad range {token!r}; want start:stop[:step]")
+            start, stop = _fraction("--values", fields[0]), _fraction("--values", fields[1])
+            step = _fraction("--values", fields[2]) if len(fields) == 3 else Fraction(1)
             if step <= 0:
-                raise _UsageError("range step must be positive")
+                raise _UsageError(f"--values range step must be positive, got {fields[2]}")
             v = start
             while v <= stop:
                 out.append(v)
                 v += step
         else:
-            out.append(Fraction(token))
+            out.append(_fraction("--values", token))
     if not out:
-        raise _UsageError("empty value list")
+        raise _UsageError("--values lists no value")
+    if min(out) < 0:
+        raise _UsageError(f"--values must be 0 or more, got {min(out)}")
     return out
-
-
-def _mixer_cache() -> Callable[[int, int | None], MixerSpec]:
-    """MixerSpec(n, alpha), kept for the last (n, alpha) asked for only.
-
-    One per batch: its trials share the spec's mixing weights, and a batch
-    over several n holds no weights of an n it has moved on from.
-    """
-    return functools.lru_cache(maxsize=1)(MixerSpec)
 
 
 def _check_capacity(args: argparse.Namespace, ns) -> None:
@@ -172,10 +173,14 @@ def _check_args(args: argparse.Namespace) -> None:
             raise _UsageError(f"instance files take no inline-batch flag: {', '.join(given)}")
     if args.trials is None:
         args.trials = 1
-    for name, least in (("trials", 0), ("j_max", 0), ("alpha", 0), ("threads", 1)):
+    for name, least in (("trials", 0), ("j_max", 0), ("alpha", 0), ("threads", 1), ("seed", 0),
+                        ("n_start", 0), ("n", 1), ("k", 1), ("m", 0), ("planted", 0)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise _UsageError(f"--{name.replace('_', '-')} must be {least} or more, got {value}")
+    m_ratio = getattr(args, "m_ratio", None)
+    if m_ratio is not None and not 0 <= m_ratio < math.inf:
+        raise _UsageError(f"--m-ratio must be 0 or more and finite, got {m_ratio}")
     compact = getattr(args, "engine", None) == "compact"  # generate has no --engine
     if args.k is None:
         args.k = 1 if compact or args.ensemble == "max-constrained-1sat" else 3
@@ -184,7 +189,9 @@ def _check_args(args: argparse.Namespace) -> None:
             raise _UsageError("--alpha only applies to the full engine")
         if compact and args.k != 1:
             raise _UsageError("the compact engine is 1-SAT only")
-        c_start = None if args.c_start is None else Fraction(args.c_start)
+        c_start = None if args.c_start is None else _fraction("--c-start", args.c_start)
+        if c_start is not None and c_start < 0:
+            raise _UsageError(f"--c-start must be 0 or more, got {args.c_start}")
         args.policy_spec = PolicySpec(args.policy, c_start, args.n_start)
     if args.command == "sweep":
         if compact:  # a point is one shell-engine trial, which draws no instance
@@ -218,6 +225,9 @@ def _check_args(args: argparse.Namespace) -> None:
             raise _UsageError("--n is required")
         if args.m is None and args.ensemble != "max-constrained-1sat":
             raise _UsageError("--m is required for this ensemble")
+        alpha = getattr(args, "alpha", None)  # generate has no --alpha
+        if alpha is not None and alpha > args.n:  # files and sweeps vary n
+            raise _UsageError(f"--alpha must be --n ({args.n}) or less, got {alpha}")
 
 
 # --- record emission ----------------------------------------------------------
@@ -387,7 +397,7 @@ def _load_instances(
     return items
 
 
-def _run_one(item, args, config, mixer_of) -> dict:
+def _run_one(item, args, config) -> dict:
     desc, source = item
     record: dict = {"record": "run", "config": config, "instance": desc}
     if "error" in desc:
@@ -408,7 +418,7 @@ def _run_one(item, args, config, mixer_of) -> dict:
             result = engine_mod.run_trial(
                 source,
                 args.policy_spec,
-                mixer=mixer_of(desc["n"], args.alpha),
+                mixer=MixerSpec(desc["n"], args.alpha),
                 j_max=args.j_max,
                 record_histograms=args.histograms,
                 limit=args.full_limit,
@@ -435,8 +445,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _config(args)
     items = _load_instances(args)
     _check_capacity(args, (desc["n"] for desc, _ in items if "error" not in desc))
-    mixer_of = _mixer_cache()
-    records = _map(lambda item: _run_one(item, args, config, mixer_of), items, args.threads)
+    records = _map(lambda item: _run_one(item, args, config), items, args.threads)
     _emit(records, args.format, args.out)
     return EXIT_OK
 
@@ -451,8 +460,8 @@ def _sweep_points(args: argparse.Namespace) -> list[dict]:
     for idx, value in enumerate(values):
         if args.axis == "n":
             n = int(value)
-            if value != n:
-                raise _UsageError(f"axis n needs integers, got {value}")
+            if value != n or n < 1:
+                raise _UsageError(f"--values on axis n must be integers 1 or more, got {value}")
             if args.m is not None:
                 m = args.m
             elif args.m_ratio is not None:
@@ -467,11 +476,7 @@ def _sweep_points(args: argparse.Namespace) -> list[dict]:
 
 
 def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> dict:
-    """Fold the inline ``run`` batch of this point into one aggregate record.
-
-    The batch has the point's one n, so its trials share one MixerSpec,
-    and the point drops it when it returns.
-    """
+    """Fold the inline ``run`` batch of this point into one aggregate record."""
     record = {"record": "sweep-point", "config": config, "point": dict(point)}
     record["point"]["trials"] = args.trials
     batch = argparse.Namespace(**{
@@ -488,9 +493,8 @@ def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> 
         record["error"] = f"{type(exc).__name__}: {exc}"
         return record
     results = []
-    mixer_of = _mixer_cache()
     for item in items:  # as in a run batch, but the first error ends the point
-        run = _run_one(item, batch, config, mixer_of)
+        run = _run_one(item, batch, config)
         if "error" in run:
             record["error"] = run["error"]
             return record
@@ -518,7 +522,11 @@ def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config(args)
-    points = _sweep_points(args)
+    try:
+        points = _sweep_points(args)
+    except OverflowError:  # a point's value, or its m, is past the float range
+        flag = "--values" if args.m_ratio is None else "--values or --m-ratio"
+        raise _UsageError(f"{flag} too large: a point is past the float range") from None
     _check_capacity(args, (point["n"] for point in points))
     records = _map(lambda p: _sweep_point_record(p, args, config), points, args.threads)
     _emit(records, args.format, args.out)
@@ -619,7 +627,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None without it."""
+    libs = Path(np.__file__).parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the copy numpy has loaded
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
+    # one BLAS thread, so the compact engine's and verify's products (and
+    # so the bytes printed) do not depend on the size of the thread pool
+    blas = _openblas_threads()
+    threads = blas[0]() if blas else None
+    if blas:
+        blas[1](1)
     try:
         args = build_parser().parse_args(argv)
         if args.command != "verify":
@@ -638,6 +668,9 @@ def main(argv: list[str] | None = None) -> int:
         # stdout at devnull so the flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
+    finally:
+        if blas:
+            blas[1](threads)
 
 
 if __name__ == "__main__":

@@ -37,9 +37,6 @@ from .sat import DEFAULT_FULL_LIMIT, SatProblem, check_full_capacity, conflict_v
 # temporaries of a few pieces, not of the state.
 READOUT_PIECE = 1 << 13
 
-# MixerSpec(n) of the last n run without a mixer: same-n trials share weights
-_default_mixer = functools.lru_cache(maxsize=1)(MixerSpec)
-
 
 @dataclass
 class RunResult:
@@ -178,10 +175,10 @@ def run_trial(
     """Evolve an instance for up to min(j_max, policy cap) steps.
 
     Solutions and conflict counts come from exhaustive evaluation, so
-    this engine is limited to moderate n (see ``limit``).  Without ``mixer``,
-    same-n trials in a row share one ``MixerSpec(n)``.
+    this engine is limited to moderate n (see ``limit``).  ``mixer``
+    defaults to ``MixerSpec(problem.n)``.
     """
-    spec = mixer if mixer is not None else _default_mixer(problem.n)
+    spec = mixer if mixer is not None else MixerSpec(problem.n)
     if spec.n != problem.n:
         raise ValueError(f"mixer is for n={spec.n}, problem has n={problem.n}")
     resolved = resolve_policy(policy, problem.n, problem.m, problem.k)

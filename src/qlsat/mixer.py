@@ -66,17 +66,22 @@ class MixerSpec:
         Row w serves a piece ``[lo, lo + piece)`` whose high bits ``lo >> 13``
         have Hamming weight w, since an index's weight is w plus that of its
         low bits: n - 12 rows of 32 KiB at most stand for all 2**n weights,
-        held (read-only) by this spec for every step of its trials.  +/-2**-n
-        is exact in float32 and widened in the multiply, so the products are
-        those of a whole float64 table.
+        read-only and shared by every spec of the last (n, alpha) built.
+        +/-2**-n is exact in float32 and widened in the multiply, so the
+        products are those of a whole float64 table.
         """
-        top = TABLE_PIECE.bit_length() - 1
-        bits = min(self.n, top)  # one cached popcount table serves every n
-        high = np.arange(self.n - bits + 1, dtype=np.uint8)[:, None]
-        scale = np.float32(1.0 / (1 << self.n))
-        rows = np.where(popcounts(top)[: 1 << bits] + high <= self.alpha, scale, -scale)
-        rows.setflags(write=False)
-        return rows
+        return _tau_rows(self.n, self.alpha)
+
+
+@lru_cache(maxsize=1)  # the last (n, alpha) only: same-n trials in a row share one build
+def _tau_rows(n: int, alpha: int) -> np.ndarray:
+    top = TABLE_PIECE.bit_length() - 1
+    bits = min(n, top)  # one cached popcount table serves every n
+    high = np.arange(n - bits + 1, dtype=np.uint8)[:, None]
+    scale = np.float32(1.0 / (1 << n))
+    rows = np.where(popcounts(top)[: 1 << bits] + high <= alpha, scale, -scale)
+    rows.setflags(write=False)
+    return rows
 
 
 def kernel_rows(n: int):

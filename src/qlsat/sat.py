@@ -56,9 +56,6 @@ class ConflictPattern:
     def k(self) -> int:
         return self.mask.bit_count()
 
-    def conflicts_with(self, s: int) -> bool:
-        return (s & self.mask) == self.value
-
 
 @dataclass(frozen=True)
 class SatProblem:
@@ -83,11 +80,6 @@ class SatProblem:
     @property
     def m(self) -> int:
         return len(self.clauses)
-
-
-def count_conflicts(problem: SatProblem, s: int) -> int:
-    """Number of clauses the assignment falsifies."""
-    return sum(1 for c in problem.clauses if c.conflicts_with(s))
 
 
 def conflict_vector(

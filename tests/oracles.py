@@ -15,8 +15,10 @@ up front, ``tau_vector`` gives the mixing weight's sign by Hamming weight,
 ``blocked_fwht``, and
 ``oracle_trial`` evolves a trial from these.
 
-``n_better`` counts improving single flips of one assignment by direct
-evaluation; ``s_coefficient`` sums the transform kernel term by term, and
+``conflicts_with`` tests one assignment against one clause and
+``count_conflicts`` counts the clauses one assignment falsifies, by direct
+evaluation; ``n_better`` counts its improving single flips the same way.
+``s_coefficient`` sums the transform kernel term by term, and
 ``dense_w_hat`` writes the transform out as a dense matrix.
 ``build_w_max``, ``build_d_max`` and ``build_v_max`` build the raw shell
 transform and shell mixing matrix of maximal 1-SAT from exact integers.
@@ -59,10 +61,20 @@ from qlsat.phases import KIND_SIMPLE, PolicySpec, ResolvedPolicy, resolve_policy
 from qlsat.sat import (
     DEFAULT_FULL_LIMIT,
     CapacityError,
+    ConflictPattern,
     SatProblem,
     check_full_capacity,
-    count_conflicts,
 )
+
+
+def conflicts_with(clause: ConflictPattern, s: int) -> bool:
+    """Whether assignment s falsifies the clause: (s & mask) == value."""
+    return (s & clause.mask) == clause.value
+
+
+def count_conflicts(problem: SatProblem, s: int) -> int:
+    """Number of clauses the assignment falsifies."""
+    return sum(1 for c in problem.clauses if conflicts_with(c, s))
 
 
 def n_better(problem: SatProblem, s: int) -> int:

@@ -26,7 +26,9 @@ from qlsat.generate import (
 )
 from qlsat.mixer import MixerSpec, apply_u, dense_u
 from qlsat.phases import KIND_NEIGHBORHOOD, KIND_SIMPLE, PolicySpec
-from qlsat.sat import SatProblem, clause_from_literals, count_conflicts
+from qlsat.sat import SatProblem, clause_from_literals
+
+from oracles import count_conflicts
 
 
 def two_negated_units() -> SatProblem:

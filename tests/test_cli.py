@@ -20,8 +20,9 @@ import qlsat.compact
 import qlsat.mixer
 from qlsat.cli import build_parser, main
 from qlsat.generate import ENSEMBLE_KINDS, EnsembleSpec, generate, instance_seed_sequence
-from qlsat.mixer import MixerSpec
-from qlsat.sat import count_conflicts, from_dimacs
+from qlsat.sat import from_dimacs
+
+from oracles import count_conflicts
 
 REFERENCE_CNF = "p cnf 2 2\n-1 0\n-2 0\n"
 
@@ -416,6 +417,58 @@ def test_usage_errors_exit_one(argv, capsys, tmp_path):
     assert "error" in err.lower()
 
 
+_BAD_NUMBER_BATCHES = {
+    "run": ["run", "--ensemble", "random", "--n", "6", "--m", "10"],
+    "generate": ["generate", "--out-dir", "x", "--ensemble", "random", "--n", "6", "--m", "10"],
+    "sweep": ["sweep", "--axis", "n", "--values", "6", "--ensemble", "random"],
+    "m-over-n": ["sweep", "--axis", "m-over-n", "--n", "6", "--ensemble", "random"],
+}
+
+
+@pytest.mark.parametrize(
+    "flag, batch, flags",
+    [
+        ("--c-start", "run", ["--c-start", "1/0"]),
+        ("--c-start", "run", ["--c-start", "abc"]),
+        ("--c-start", "sweep", ["--c-start", "-1"]),
+        ("--n-start", "run", ["--n-start", "-1", "--policy", "neighborhood"]),
+        ("--seed", "run", ["--seed", "-1"]),
+        ("--seed", "generate", ["--seed", "-1"]),
+        ("--n", "run", ["--n", "0"]),  # a later flag replaces an earlier one
+        ("--values", "sweep", ["--values", "1/0"]),
+        ("--values", "sweep", ["--values", "4:8:0/0"]),
+        ("--values", "sweep", ["--values", "-1"]),
+        ("--values", "sweep", ["--values", "0"]),
+        ("--values", "m-over-n", ["--values", "1e400"]),
+        ("--m-ratio", "sweep", ["--m-ratio", "inf"]),
+        ("--m-ratio", "sweep", ["--m-ratio", "nan"]),
+        ("--m-ratio", "sweep", ["--m-ratio", "-1"]),
+        ("--m-ratio", "sweep", ["--m-ratio", "1e308"]),  # finite, but m is not
+    ],
+)
+def test_a_bad_number_is_refused_by_its_flag_name(flag, batch, flags, capsys, tmp_path):
+    argv = [a if a != "x" else str(tmp_path / "x") for a in _BAD_NUMBER_BATCHES[batch]]
+    code, out, err = run_cli(capsys, *argv, *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("qlsat: error: ") and f"{flag} " in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_an_inline_run_refuses_an_alpha_above_its_n(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "run", "--ensemble", "random", "--n", "6", "--m", "10", "--trials", "2",
+        "--alpha", "9",
+    )
+    assert code == 1 and out == ""
+    assert err == "qlsat: error: --alpha must be --n (6) or less, got 9\n"
+    # files vary n, so there it stays an error of each instance it does not fit
+    run_cli(capsys, "generate", "--out-dir", str(tmp_path), "--ensemble", "random",
+            "--n", "6", "--m", "10")
+    code, out, _ = run_cli(capsys, "run", str(tmp_path / "inst-00000.cnf"), "--alpha", "9")
+    assert code == 0
+    assert [r["error"] for r in jsonl(out)] == ["ValueError: need 0 <= alpha <= n, got alpha=9"]
+
+
 def test_generate_makes_no_out_dir_when_it_fails_before_its_first_instance(capsys, tmp_path):
     out_dir = tmp_path / "inst"
     for flags in (
@@ -759,33 +812,72 @@ def test_thread_count_does_not_change_results(capsys):
     assert ones_ == twos
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--engine", "compact", "--n", "200", "--policy", "neighborhood", "--histograms"],
+        ["verify"],
+    ],
+)
+def test_blas_thread_count_does_not_change_the_bytes(argv):
+    # both print sums of OpenBLAS products whose last bits, unpinned, vary
+    # with the size of its thread pool
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlsat", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
+def test_main_runs_on_one_blas_thread_and_restores_the_count(capsys, monkeypatch):
+    blas = qlsat.cli._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    get, set_threads = blas
+    before = get()
+    seen = []
+    monkeypatch.setattr(qlsat.cli, "cmd_verify", lambda args: seen.append(get()) or 0)
+    set_threads(2)
+    try:
+        assert main(["verify"]) == 0
+        assert seen == [1] and get() == 2
+    finally:
+        set_threads(before)
+
+
 def test_a_batch_builds_the_mixing_weights_once_per_n(capsys, monkeypatch, tmp_path):
-    built = []  # (n, weak reference to the spec) per build of the weights
-    held = []  # the n of each earlier spec still alive at a build
-    build = MixerSpec.__dict__["tau_rows"].func
+    built = []  # (n, weak reference to the rows) per build of the weights
+    held = []  # the n of each rows older than the last build still alive at a build
+    build = qlsat.mixer._tau_rows.__wrapped__
 
-    def counted(spec):
-        held.extend(n for n, ref in built if ref() is not None)
-        built.append((spec.n, weakref.ref(spec)))
-        return build(spec)
+    def counted(n, alpha):
+        held.extend(n for n, ref in built[:-1] if ref() is not None)
+        rows = build(n, alpha)
+        built.append((n, weakref.ref(rows)))
+        return rows
 
-    cached = functools.cached_property(counted)
-    cached.__set_name__(MixerSpec, "tau_rows")
-    monkeypatch.setattr(MixerSpec, "tau_rows", cached)
+    monkeypatch.setattr(qlsat.mixer, "_tau_rows", functools.lru_cache(maxsize=1)(counted))
 
     def builds(*argv):
+        qlsat.mixer._tau_rows.cache_clear()
         built.clear()
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and all("error" not in record for record in jsonl(out))
-        assert held == []  # a batch holds no weights of an n it has left
+        # a batch holds no weights of an n it has left, only the last n's
+        assert held == []
+        assert [ref() is not None for _, ref in built] == [False] * (len(built) - 1) + [True]
         return [n for n, _ in built]
 
     assert builds("run", "--ensemble", "random", "--n", "7", "--m", "14", "--trials", "3") == [7]
-    # one build per sweep point, also when the points share their n
+    # one build for a sweep whose points share their n
     assert builds(
         "sweep", "--axis", "m-over-n", "--values", "2,3", "--n", "7",
         "--ensemble", "random", "--trials", "2",
-    ) == [7, 7]
+    ) == [7]
     assert builds(
         "sweep", "--axis", "n", "--values", "6,7,8", "--m-ratio", "2",
         "--ensemble", "random", "--trials", "2",

@@ -10,6 +10,7 @@ import pytest
 from oracles import oracle_trial
 
 import qlsat.engine
+import qlsat.mixer
 from qlsat.engine import (
     READOUT_PIECE,
     RunResult,
@@ -177,32 +178,30 @@ def test_mixer_size_mismatch_rejected():
 
 
 def test_trials_without_a_mixer_build_the_mixing_weights_once_per_n(monkeypatch):
-    built = []  # (n, weak reference to the spec) per build of the weights
-    held = []  # the n of each earlier spec still alive at a build
-    build = MixerSpec.__dict__["tau_rows"].func
+    built = []  # (n, weak reference to the rows) per build of the weights
+    held = []  # the n of each rows older than the last build still alive at a build
+    build = qlsat.mixer._tau_rows.__wrapped__
 
-    def counted(spec):
-        held.extend(n for n, ref in built if ref() is not None)
-        built.append((spec.n, weakref.ref(spec)))
-        return build(spec)
+    def counted(n, alpha):
+        held.extend(n for n, ref in built[:-1] if ref() is not None)
+        rows = build(n, alpha)
+        built.append((n, weakref.ref(rows)))
+        return rows
 
-    cached = functools.cached_property(counted)
-    cached.__set_name__(MixerSpec, "tau_rows")
-    monkeypatch.setattr(MixerSpec, "tau_rows", cached)
+    monkeypatch.setattr(qlsat.mixer, "_tau_rows", functools.lru_cache(maxsize=1)(counted))
     problems = {
         n: [generate(EnsembleSpec(n=n, k=3, m=2 * n, kind="random", seed=s)).problem
             for s in range(3)]
         for n in (6, 7, 8)
     }
-    run_trial(problems[6][0], PolicySpec(KIND_SIMPLE))  # moves any earlier n off
-    built.clear()
+    run_trial(problems[6][0], PolicySpec(KIND_SIMPLE))
     for problem in problems[7]:
         run_trial(problem, PolicySpec(KIND_NEIGHBORHOOD))
-    assert [n for n, _ in built] == [7]
+    assert [n for n, _ in built] == [6, 7]
     run_trial(problems[8][0], PolicySpec(KIND_SIMPLE))
-    assert [n for n, _ in built] == [7, 8]
-    assert held == []  # the n = 7 spec was gone before the n = 8 weights were built
-    assert built[0][1]() is None
+    assert [n for n, _ in built] == [6, 7, 8]
+    assert held == []  # the n = 6 rows were gone before the n = 8 rows were built
+    assert built[1][1]() is None  # and the n = 7 rows once they were
 
 
 def test_j_max_truncates_and_cap_applies():

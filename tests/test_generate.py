@@ -30,9 +30,16 @@ from qlsat.generate import (
     unrank_nonconflicting_clause,
     unrank_subset,
 )
-from qlsat.sat import ConflictPattern, SatProblem, count_conflicts
+from qlsat.sat import ConflictPattern, SatProblem
 
-from oracles import first_solution, floyd_sample, spread_bits, unrank_subset_by_items
+from oracles import (
+    conflicts_with,
+    count_conflicts,
+    first_solution,
+    floyd_sample,
+    spread_bits,
+    unrank_subset_by_items,
+)
 
 # the package re-exports the function generate() under the submodule's name
 generate_mod = importlib.import_module("qlsat.generate")
@@ -70,7 +77,7 @@ def test_unrank_nonconflicting_skips_exactly_the_planted_pattern(planted):
     clauses = set()
     for i in range(size):
         c = unrank_nonconflicting_clause(n, k, i, planted)
-        assert not c.conflicts_with(planted)
+        assert not conflicts_with(c, planted)
         clauses.add(c)
     assert len(clauses) == size
 

@@ -217,6 +217,7 @@ def test_tau_rows_are_shared_and_read_only():
         expected = tau_vector(spec)[popcounts(n)] / (1 << n)
         np.testing.assert_array_equal(laid_out.astype(np.float64), expected)
         assert spec.tau_rows is rows
+        assert MixerSpec(n, alpha=spec.alpha).tau_rows is rows  # one build per (n, alpha)
         with pytest.raises(ValueError):
             rows[0, 0] = 1.0
 

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import index_conflict_vector, oracle_schedule, oracle_trial, step_sign_tables
+from oracles import (
+    count_conflicts,
+    index_conflict_vector,
+    oracle_schedule,
+    oracle_trial,
+    step_sign_tables,
+)
 
 from qlsat.engine import run_trial
 from qlsat.generate import EnsembleSpec, generate
@@ -23,7 +29,6 @@ from qlsat.sat import (
     SatProblem,
     clause_from_literals,
     conflict_vector,
-    count_conflicts,
 )
 
 

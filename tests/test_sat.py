@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import index_conflict_vector, index_n_better_vector, n_better
+from oracles import (
+    conflicts_with,
+    count_conflicts,
+    index_conflict_vector,
+    index_n_better_vector,
+    n_better,
+)
 
 from qlsat.generate import max_clauses
 from qlsat.sat import (
@@ -16,7 +22,6 @@ from qlsat.sat import (
     clause_from_literals,
     clause_to_literals,
     conflict_vector,
-    count_conflicts,
     from_dimacs,
     n_better_vector,
     to_dimacs,
@@ -63,9 +68,9 @@ def test_clause_pattern_semantics():
     clause = clause_from_literals([1, -3])
     assert clause.mask == 0b101
     assert clause.value == 0b100
-    assert clause.conflicts_with(0b100)
-    assert clause.conflicts_with(0b110)
-    assert not clause.conflicts_with(0b101)
+    assert conflicts_with(clause, 0b100)
+    assert conflicts_with(clause, 0b110)
+    assert not conflicts_with(clause, 0b101)
     assert clause.k == 2
 
 

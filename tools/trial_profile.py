@@ -21,8 +21,9 @@ It then prints the median time, over REPEATS calls after one warm-up, of
 each layer of the trial on the same instance: ``conflict_vector``,
 ``n_better_vector``, the trial's set-up (all of ``run_trial`` before its
 first step, timed with ``engine.evolve`` stubbed out), the build of the
-mixing weights of a new ``MixerSpec(N)`` (a trial that builds its own spec
-pays it in its first step), one step, split into applying the first
+mixing weights of a new ``MixerSpec(N)``, with their cache emptied first as
+for an (N, alpha) not run last (a trial at a new N pays it in its first
+step), one step, split into applying the first
 step's signs and ``apply_u``, and the solution readout taken after every
 step.  Comparing two checkouts with ``--src`` at N = 8-14 shows how much
 of a millisecond trial these fixed costs are.
@@ -64,7 +65,7 @@ def profile(n: int, src: str, kind: str, clauses: bool) -> None:
     import numpy as np
 
     from qlsat import EnsembleSpec, PolicySpec, SatProblem, generate, run_trial
-    from qlsat import engine
+    from qlsat import engine, mixer
     from qlsat.mixer import MixerSpec, apply_u
     from qlsat.phases import policy_table, resolve_policy, sign_tables
     from qlsat.sat import conflict_vector, n_better_vector
@@ -122,13 +123,16 @@ def profile(n: int, src: str, kind: str, clauses: bool) -> None:
         finally:
             engine.evolve = evolve
 
+    # checkouts from before the weights were cached by (n, alpha) have no cache to empty
+    forget_weights = getattr(getattr(mixer, "_tau_rows", None), "cache_clear", lambda: None)
+
     times = {
         name: median_ms(call)
         for name, call in (
             ("conflict_vector", lambda: conflict_vector(problem)),
             ("n_better_vector", lambda: n_better_vector(conflicts)),
             ("set-up", setup),
-            ("weights", lambda: MixerSpec(n).tau_rows),
+            ("weights", lambda: forget_weights() or MixerSpec(n).tau_rows),
             ("signs", lambda: apply_signs(x, signs, table)),
             ("apply_u", lambda: apply_u(spec, x, inplace=True)),
             ("readout", lambda: p_soln_of(x)),
