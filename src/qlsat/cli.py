@@ -458,6 +458,10 @@ def _sweep_points(args: argparse.Namespace) -> list[dict]:
     values = _parse_values(args.values)
     points = []
     for idx, value in enumerate(values):
+        try:
+            x = float(value)
+        except OverflowError:
+            raise _UsageError(f"--values must be inside the float range, got {value}") from None
         if args.axis == "n":
             n = int(value)
             if value != n or n < 1:
@@ -465,14 +469,24 @@ def _sweep_points(args: argparse.Namespace) -> list[dict]:
             if args.m is not None:
                 m = args.m
             elif args.m_ratio is not None:
-                m = round(args.m_ratio * n)
+                m = _clause_count("--m-ratio", args.m_ratio, n)
             else:
                 m = n  # planted 1-SAT default: one clause per variable
         else:
             n = args.n
-            m = round(float(value) * n)
-        points.append({"index": idx, "axis": args.axis, "value": float(value), "n": n, "m": m})
+            m = _clause_count("--values", x, n)
+        points.append({"index": idx, "axis": args.axis, "value": x, "n": n, "m": m})
     return points
+
+
+def _clause_count(flag: str, ratio: float, n: int) -> int:
+    """round(ratio * n), or a usage error naming the ratio's flag past the float range."""
+    try:
+        return round(ratio * n)
+    except OverflowError:
+        raise _UsageError(
+            f"{flag} times n must be inside the float range, got {ratio} * {n}"
+        ) from None
 
 
 def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> dict:
@@ -522,11 +536,7 @@ def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config(args)
-    try:
-        points = _sweep_points(args)
-    except OverflowError:  # a point's value, or its m, is past the float range
-        flag = "--values" if args.m_ratio is None else "--values or --m-ratio"
-        raise _UsageError(f"{flag} too large: a point is past the float range") from None
+    points = _sweep_points(args)
     _check_capacity(args, (point["n"] for point in points))
     records = _map(lambda p: _sweep_point_record(p, args, config), points, args.threads)
     _emit(records, args.format, args.out)

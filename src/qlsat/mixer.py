@@ -70,10 +70,17 @@ class MixerSpec:
         +/-2**-n is exact in float32 and widened in the multiply, so the
         products are those of a whole float64 table.
         """
-        return _tau_rows(self.n, self.alpha)
+        key = (self.n, self.alpha)
+        rows = _TAU_ROWS.get(key)
+        if rows is None:
+            _TAU_ROWS.clear()  # before the build: two (n, alpha)'s rows never coexist here
+            rows = _TAU_ROWS[key] = _tau_rows(*key)
+        return rows
 
 
-@lru_cache(maxsize=1)  # the last (n, alpha) only: same-n trials in a row share one build
+_TAU_ROWS: dict[tuple[int, int], np.ndarray] = {}  # the rows of the last (n, alpha) built
+
+
 def _tau_rows(n: int, alpha: int) -> np.ndarray:
     top = TABLE_PIECE.bit_length() - 1
     bits = min(n, top)  # one cached popcount table serves every n

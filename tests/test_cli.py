@@ -1,7 +1,6 @@
 """Command-line behavior: records, formats, determinism, exit codes."""
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -440,6 +439,7 @@ _BAD_NUMBER_BATCHES = {
         ("--values", "sweep", ["--values", "-1"]),
         ("--values", "sweep", ["--values", "0"]),
         ("--values", "m-over-n", ["--values", "1e400"]),
+        ("--values", "m-over-n", ["--values", "1e308"]),  # finite, but m is not
         ("--m-ratio", "sweep", ["--m-ratio", "inf"]),
         ("--m-ratio", "sweep", ["--m-ratio", "nan"]),
         ("--m-ratio", "sweep", ["--m-ratio", "-1"]),
@@ -851,19 +851,19 @@ def test_main_runs_on_one_blas_thread_and_restores_the_count(capsys, monkeypatch
 
 def test_a_batch_builds_the_mixing_weights_once_per_n(capsys, monkeypatch, tmp_path):
     built = []  # (n, weak reference to the rows) per build of the weights
-    held = []  # the n of each rows older than the last build still alive at a build
-    build = qlsat.mixer._tau_rows.__wrapped__
+    held = []  # the n of each earlier build's rows still alive at a build
+    build = qlsat.mixer._tau_rows
 
     def counted(n, alpha):
-        held.extend(n for n, ref in built[:-1] if ref() is not None)
+        held.extend(n for n, ref in built if ref() is not None)
         rows = build(n, alpha)
         built.append((n, weakref.ref(rows)))
         return rows
 
-    monkeypatch.setattr(qlsat.mixer, "_tau_rows", functools.lru_cache(maxsize=1)(counted))
+    monkeypatch.setattr(qlsat.mixer, "_tau_rows", counted)
 
     def builds(*argv):
-        qlsat.mixer._tau_rows.cache_clear()
+        monkeypatch.setattr(qlsat.mixer, "_TAU_ROWS", {})
         built.clear()
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and all("error" not in record for record in jsonl(out))

@@ -1,6 +1,5 @@
 """Full-state evolution: worked examples, norm drift, best-step selection."""
 
-import functools
 import math
 import tracemalloc
 import weakref
@@ -179,16 +178,17 @@ def test_mixer_size_mismatch_rejected():
 
 def test_trials_without_a_mixer_build_the_mixing_weights_once_per_n(monkeypatch):
     built = []  # (n, weak reference to the rows) per build of the weights
-    held = []  # the n of each rows older than the last build still alive at a build
-    build = qlsat.mixer._tau_rows.__wrapped__
+    held = []  # the n of each earlier build's rows still alive at a build
+    build = qlsat.mixer._tau_rows
 
     def counted(n, alpha):
-        held.extend(n for n, ref in built[:-1] if ref() is not None)
+        held.extend(n for n, ref in built if ref() is not None)
         rows = build(n, alpha)
         built.append((n, weakref.ref(rows)))
         return rows
 
-    monkeypatch.setattr(qlsat.mixer, "_tau_rows", functools.lru_cache(maxsize=1)(counted))
+    monkeypatch.setattr(qlsat.mixer, "_tau_rows", counted)
+    monkeypatch.setattr(qlsat.mixer, "_TAU_ROWS", {})
     problems = {
         n: [generate(EnsembleSpec(n=n, k=3, m=2 * n, kind="random", seed=s)).problem
             for s in range(3)]
