@@ -19,7 +19,9 @@ per instance, and an instance that fails (a bad file, a failed inline
 draw, a failed trial) becomes an error record without stopping the batch.
 Sweep point i is the aggregate of the inline ``run`` batch seeded
 ``instance_seed_sequence(seed, i)`` with the point's n and m; the point
-records the first error of that batch instead.
+records the first error of that batch instead.  A compact batch evolves
+its shells once: its trials differ only in the planted value, which the
+shell dynamics do not read.
 
 Environment overrides (flags win, for the commands that take the flag):
 QLSAT_SEED, QLSAT_THREADS, QLSAT_FORMAT, QLSAT_FULL_LIMIT, QLSAT_DENSE_LIMIT.
@@ -38,6 +40,8 @@ import json
 import math
 import os
 import sys
+import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -163,6 +167,14 @@ def _check_args(args: argparse.Namespace) -> None:
     ``args.policy_spec``, so a bad policy flag fails the command, not each
     trial.
     """
+    if args.command == "verify":  # its checks build n = 2 up to the dense limit
+        if args.alpha is not None and not 0 <= args.alpha <= 2:
+            raise _UsageError(
+                f"--alpha must be 0 to 2 (the checks start at n = 2), got {args.alpha}"
+            )
+        if args.dense_limit < 2:
+            raise _UsageError(f"--dense-limit must be 2 or more, got {args.dense_limit}")
+        return
     if args.format not in FORMATS:  # argparse checks choices only of a given flag
         raise _UsageError(f"QLSAT_FORMAT must be one of {', '.join(FORMATS)}, got {args.format!r}")
     files = getattr(args, "instances", None)
@@ -174,7 +186,8 @@ def _check_args(args: argparse.Namespace) -> None:
     if args.trials is None:
         args.trials = 1
     for name, least in (("trials", 0), ("j_max", 0), ("alpha", 0), ("threads", 1), ("seed", 0),
-                        ("n_start", 0), ("n", 1), ("k", 1), ("m", 0), ("planted", 0)):
+                        ("n_start", 0), ("n", 1), ("k", 1), ("m", 0), ("planted", 0),
+                        ("full_limit", 1)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise _UsageError(f"--{name.replace('_', '-')} must be {least} or more, got {value}")
@@ -397,7 +410,28 @@ def _load_instances(
     return items
 
 
-def _run_one(item, args, config) -> dict:
+def _compact_trial(args: argparse.Namespace) -> Callable[[int, int], engine_mod.RunResult]:
+    """The shell-engine trial of one compact batch, run once for all its trials.
+
+    A batch's trials share n and m, and the shell dynamics do not depend
+    on the planted value, so they share one result.  The first trial runs
+    it; pooled trials wait for it rather than run it again.
+    """
+    lock = threading.Lock()
+    run = functools.cache(
+        lambda n, m: compact_mod.compact_run(
+            n, args.policy_spec, j_max=args.j_max, m=m, record_histograms=args.histograms
+        )
+    )
+
+    def trial(n: int, m: int) -> engine_mod.RunResult:
+        with lock:
+            return run(n, m)
+
+    return trial
+
+
+def _run_one(item, args, config, compact_trial) -> dict:
     desc, source = item
     record: dict = {"record": "run", "config": config, "instance": desc}
     if "error" in desc:
@@ -407,10 +441,7 @@ def _run_one(item, args, config) -> dict:
         if args.engine == "compact":
             if source is not None:  # the shell engine reads only the planted value
                 desc["planted"] = draw_planted(source)
-            result = compact_mod.compact_run(
-                desc["n"], args.policy_spec, j_max=args.j_max, m=desc["m"],
-                record_histograms=args.histograms,
-            )
+            result = compact_trial(desc["n"], desc["m"])
         else:
             if isinstance(source, EnsembleSpec):
                 inst = generate_instance(source)
@@ -445,7 +476,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _config(args)
     items = _load_instances(args)
     _check_capacity(args, (desc["n"] for desc, _ in items if "error" not in desc))
-    records = _map(lambda item: _run_one(item, args, config), items, args.threads)
+    compact_trial = _compact_trial(args)
+    records = _map(lambda item: _run_one(item, args, config, compact_trial), items, args.threads)
     _emit(records, args.format, args.out)
     return EXIT_OK
 
@@ -507,8 +539,9 @@ def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> 
         record["error"] = f"{type(exc).__name__}: {exc}"
         return record
     results = []
+    compact_trial = _compact_trial(batch)
     for item in items:  # as in a run batch, but the first error ends the point
-        run = _run_one(item, batch, config)
+        run = _run_one(item, batch, config, compact_trial)
         if "error" in run:
             record["error"] = run["error"]
             return record
@@ -662,8 +695,7 @@ def main(argv: list[str] | None = None) -> int:
         blas[1](1)
     try:
         args = build_parser().parse_args(argv)
-        if args.command != "verify":
-            _check_args(args)
+        _check_args(args)
         code = args.func(args)
         sys.stdout.flush()  # so a closed pipe shows here, not at exit
         return code

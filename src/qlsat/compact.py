@@ -1,4 +1,4 @@
-"""Shell-space simulation of fully constrained 1-SAT in O(n**2) per step.
+"""Shell-space simulation of fully constrained 1-SAT on n + 1 amplitudes.
 
 When every variable carries exactly one 1-SAT clause, an assignment's
 conflict count is its Hamming distance from the unique solution, and both
@@ -29,19 +29,44 @@ sqrt(comb(m, b) / 2**m) held as mantissa and power-of-two exponent, so no
 big integer is ever converted to float.  Entries agree with the exact
 big-integer construction to a few 1e-15 for m up to 1000, and the tests
 gate them at 1e-14.
+
+V is a reflection, so V @ V = I: T is symmetric and orthogonal, so
+V @ V = T D T T D T = T D D T = T T = I (the shell form of U @ U = I for
+the mixer U = H diag(tau) H / N with tau = +-1).  A step is
+phi_j = V @ (s_j * phi_{j-1}), s_j the step's sign of each shell, and so
+V @ phi_{j-1} = s_{j-1} * phi_{j-2} is known without a product from step 2
+on.  Writing s_j = 1 - 2 [s_j = -1], or s_j = -1 + 2 [s_j = +1], and with
+V[c] both row and column c of the symmetric V,
+
+    V @ (s_j * phi_{j-1}) =  s_{j-1} * phi_{j-2} - 2 sum_{s_j[c] = -1} phi_{j-1}[c] V[c]
+                          = -s_{j-1} * phi_{j-2} + 2 sum_{s_j[c] = +1} phi_{j-1}[c] V[c]
+
+so a step reads only the rows of its smaller sign set, O(m) work per row,
+in place of the (m + 1)**2 product that only the first step makes.  A
+contiguous set is one row slice.  After step 1 both policies give
+contiguous sets: the neighborhood policy keeps +1 on at most two shells,
+and the simple threshold inverts the shells above a count.  Any other set
+is a gather of its rows.  The identity holds for V as built only to its
+rounding, so the rounding of V @ V - I enters each step: measured against
+the plain product per step, p moves by at most a few 1e-13 up to n = 2000.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
 from .engine import RunResult, evolve
-from .phases import PolicySpec, resolve_policy, sign_tables
+from .phases import PolicySpec, resolve_policy, sign_blocks
 
 _RESCALE_BITS = 512
+
+# what a compact step reads: its signs, the rows of its smaller sign set,
+# and whether that set is the +1 shells
+_StepSigns = tuple[np.ndarray, slice | np.ndarray, bool]
 
 
 @functools.lru_cache(maxsize=1)
@@ -132,6 +157,30 @@ def build_v_scaled(n: int, m: int | None = None) -> np.ndarray:
     return v
 
 
+def _sign_sets(blocks: Iterator[np.ndarray], m: int) -> Iterator[_StepSigns]:
+    """Per step: its signs on shells 0..m, the rows of its smaller sign set, and which set.
+
+    The set is the -1 shells, or the +1 shells when they are fewer (then
+    the flag is True).  Its rows are a slice when the set is contiguous,
+    else their indices.  The sets of every step of a block are found in
+    one pass over the block.
+    """
+    for block in blocks:
+        block = block[:, : m + 1]
+        neg = block < 0
+        count = np.count_nonzero(neg, axis=1)
+        plus = 2 * count > m + 1
+        chosen = neg != plus[:, None]
+        size = np.where(plus, m + 1 - count, count)
+        lo = chosen.argmax(axis=1)
+        hi = m + 1 - chosen[:, ::-1].argmax(axis=1)
+        rows = [
+            slice(a, b) if b - a == k else np.flatnonzero(each)
+            for a, b, k, each in zip(lo.tolist(), hi.tolist(), size.tolist(), chosen)
+        ]
+        yield from zip(block, rows, plus.tolist())
+
+
 def compact_run(
     n: int,
     policy: PolicySpec,
@@ -154,13 +203,30 @@ def compact_run(
     # scaled initial state phi_c = sqrt(w_c / 2**n) = sqrt(comb(m,c) / 2**m),
     # the start vector that column 0 of the shell transform was just built from
     phi = np.ldexp(*_start_vector(m))
+    before = None  # s_{j-1} * phi_{j-2}, which is V @ phi_{j-1}
+
+    def step(phi: np.ndarray, item: _StepSigns) -> np.ndarray:
+        nonlocal before
+        signs, rows, plus = item
+        if before is None:  # step 1 multiplies by the whole of V
+            before = phi * signs
+            return v @ before
+        out = np.dot(phi[rows], v[rows])
+        out *= 2.0
+        if plus:
+            out -= before
+        else:
+            np.subtract(before, out, out=out)
+        np.multiply(phi, signs, out=before)
+        return out
+
     # shell c has c conflicts and c better neighbors, so its sign is entry c
     # of the step's sign table
     return evolve(
         "compact",
         phi,
-        sign_tables(resolved, n, m, j_max),
-        lambda phi, signs: v @ (phi * signs[: m + 1]),
+        _sign_sets(sign_blocks(resolved, n, m, j_max), m),
+        step,
         lambda phi: float(phi[0] * phi[0]),
         histogram_of=np.square if record_histograms else None,
     )

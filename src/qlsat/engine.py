@@ -24,6 +24,7 @@ import functools
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
@@ -36,6 +37,8 @@ from .sat import DEFAULT_FULL_LIMIT, SatProblem, check_full_capacity, conflict_v
 # the solution and histogram readouts and the per-step sign gather make
 # temporaries of a few pieces, not of the state.
 READOUT_PIECE = 1 << 13
+
+_Signs = TypeVar("_Signs")  # what ``evolve`` hands each step, as its engine needs it
 
 
 @dataclass
@@ -116,15 +119,16 @@ def select_best(p_soln_by_step: list[float]) -> tuple[int | None, float]:
 def evolve(
     engine: str,
     x: np.ndarray,
-    signs: Iterable[np.ndarray],
-    step: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    signs: Iterable[_Signs],
+    step: Callable[[np.ndarray, _Signs], np.ndarray],
     p_soln_of: Callable[[np.ndarray], float],
     histogram_of: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> RunResult:
     """The trial loop both engines run: per step j, x = step(x, signs_j).
 
     ``x`` is the start state.  ``signs`` yields, for each step, the sign of
-    every count value (``phases.sign_tables``), and ``step`` multiplies the
+    every count value (``phases.sign_tables``; the compact engine adds the
+    rows of the step's smaller sign set), and ``step`` multiplies the
     state by the signs of its entries' counts and mixes it.  A step may
     work in place, so a readout that keeps the state must copy it.  The
     readouts are taken after every step and once before the first; the

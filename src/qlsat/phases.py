@@ -110,19 +110,17 @@ def policy_table(policy: ResolvedPolicy, conflicts: np.ndarray) -> np.ndarray:
     return n_better_vector(conflicts)
 
 
-def sign_tables(
+def sign_blocks(
     policy: ResolvedPolicy, n: int, m: int, j_max: int | None = None
 ) -> Iterator[np.ndarray]:
-    """Yield, for steps 1..min(j_max, cap), the sign of every count value.
+    """Yield the sign tables of steps 1..min(j_max, cap), a block of steps at a time.
 
-    Entry v of step j's table is the sign of an assignment whose count
-    (conflicts, 0..m, or better neighbors, 0..n) is v; indexing it by
-    ``policy_table`` gives that step's phase vector.  The rules are those
-    of the module docstring, evaluated in int64 for a block of steps at a
-    time, each block at most TABLE_PIECE entries (one step per block when
-    a step is wider); the yielded rows are views of the block.  For
-    integer v the simple threshold v > c_start - (j - 1) is the same as
-    v > floor(c_start) - (j - 1).
+    Row i of a block is the table of one step (see ``sign_tables``), the
+    rows of a block are consecutive steps, and a block holds at most
+    TABLE_PIECE entries (one step when a step is wider).  The rules are
+    those of the module docstring, evaluated in int64 for every row of the
+    block at once.  For integer v the simple threshold v > c_start - (j - 1)
+    is the same as v > floor(c_start) - (j - 1).
     """
     steps = policy.max_steps if j_max is None else min(j_max, policy.max_steps)
     values = np.arange((m if policy.kind == KIND_SIMPLE else n) + 1, dtype=np.int64)
@@ -141,7 +139,21 @@ def sign_tables(
             invert = (d != lag) & (d != lag - 1)
             if lo == 0:
                 invert[0] = np.abs(d) % 4 >= 2
-        yield from np.where(invert, -1.0, 1.0)
+        yield np.where(invert, -1.0, 1.0)
+
+
+def sign_tables(
+    policy: ResolvedPolicy, n: int, m: int, j_max: int | None = None
+) -> Iterator[np.ndarray]:
+    """Yield, for steps 1..min(j_max, cap), the sign of every count value.
+
+    Entry v of step j's table is the sign of an assignment whose count
+    (conflicts, 0..m, or better neighbors, 0..n) is v; indexing it by
+    ``policy_table`` gives that step's phase vector.  The yielded rows are
+    views of the blocks of ``sign_blocks``.
+    """
+    for block in sign_blocks(policy, n, m, j_max):
+        yield from block
 
 
 def phase_schedule(

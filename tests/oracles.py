@@ -34,6 +34,9 @@ exact big-integer Krawtchouk rows, one correctly rounded square root per
 entry.  It is O(m**2) Python big-integer work and converts integers of
 size 2**m to float, so it overflows once m passes about 1020; the package
 builds the same matrix by a float recurrence instead.
+``plain_compact_run`` is ``compact_run`` with one product by the whole
+shell mixing matrix per step, where the package reads only the rows of
+each step's smaller sign set from step 2 on.
 
 ``unrank_subset_by_items`` unranks a lexicographic k-subset one item at a
 time and ``spread_bits`` places packed value bits onto a mask one bit at
@@ -49,7 +52,8 @@ from math import comb
 
 import numpy as np
 
-from qlsat.engine import select_best
+import qlsat.compact
+from qlsat.engine import RunResult, evolve, select_best
 from qlsat.mixer import (
     DEFAULT_DENSE_LIMIT,
     MixerSpec,
@@ -57,7 +61,7 @@ from qlsat.mixer import (
     popcounts,
     u_numerators,
 )
-from qlsat.phases import KIND_SIMPLE, PolicySpec, ResolvedPolicy, resolve_policy
+from qlsat.phases import KIND_SIMPLE, PolicySpec, ResolvedPolicy, resolve_policy, sign_tables
 from qlsat.sat import (
     DEFAULT_FULL_LIMIT,
     CapacityError,
@@ -216,6 +220,27 @@ def exact_scaled_shell_transform(m: int) -> np.ndarray:
             k = row[b]
             t[b, c] = math.copysign(_int_ratio_sqrt(k * k * binom[b], den), k)
     return t
+
+
+def plain_compact_run(
+    n: int,
+    policy: PolicySpec,
+    j_max: int | None = None,
+    m: int | None = None,
+    record_histograms: bool = False,
+) -> RunResult:
+    """compact_run with phi = V @ (signs * phi) at every step, V the package's."""
+    m = n if m is None else m
+    resolved = resolve_policy(policy, n=n, m=m, k=1)
+    v = qlsat.compact.build_v_scaled(n, m)
+    return evolve(
+        "compact",
+        np.ldexp(*qlsat.compact._start_vector(m)),
+        sign_tables(resolved, n, m, j_max),
+        lambda phi, signs: v @ (phi * signs[: m + 1]),
+        lambda phi: float(phi[0] * phi[0]),
+        histogram_of=np.square if record_histograms else None,
+    )
 
 
 def butterfly_fwht(x: np.ndarray, inplace: bool = False) -> np.ndarray:

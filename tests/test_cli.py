@@ -223,6 +223,37 @@ def test_run_compact_engine_at_the_readme_size(capsys):
     assert all(0.0 <= p <= 1.0 for p in result["p_soln_by_step"])
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_compact_batch_evolves_its_shells_once(capsys, monkeypatch, threads):
+    argv = ["run", "--engine", "compact", "--n", "60", "--policy", "neighborhood", "--histograms"]
+    compact_run, calls = qlsat.compact.compact_run, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compact_run(*args, **kwargs)
+
+    monkeypatch.setattr(qlsat.compact, "compact_run", counted)
+    code, out, _ = run_cli(capsys, *argv, "--trials", "5", "--threads", threads)
+    assert code == 0 and len(calls) == 1
+    records = jsonl(out)
+    # each record holds the planted value of its own seed and the result
+    # of a single-trial run
+    for i, record in enumerate(records):
+        spec = EnsembleSpec(
+            n=60, k=1, m=60, kind="max-constrained-1sat", seed=instance_seed_sequence(0, i)
+        )
+        assert record["instance"]["planted"] == generate(spec).planted
+        code, single, _ = run_cli(capsys, *argv, "--seed", str(i), "--threads", threads)
+        (want,) = jsonl(single)
+        assert record["result"] == want["result"]
+    assert len({r["instance"]["planted"] for r in records}) == 5
+    # the same bytes as a batch that runs every trial
+    monkeypatch.setattr(qlsat.cli, "_compact_trial", lambda args: lambda n, m: compact_run(
+        n, args.policy_spec, j_max=args.j_max, m=m, record_histograms=args.histograms))
+    code, every, _ = run_cli(capsys, *argv, "--trials", "5", "--threads", threads)
+    assert code == 0 and every == out
+
+
 def test_run_compact_engine_draws_only_the_planted_value(capsys, monkeypatch):
     def refuse(spec, **kwargs):
         raise AssertionError("the compact engine generated an instance")
@@ -407,6 +438,9 @@ def test_run_histograms_flag(capsys):
                 ["--threads", "0"],
             )
         ],
+        # verify's checks start at n = 2
+        ["verify", "--alpha", "3"],
+        ["verify", "--dense-limit", "-1"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys, tmp_path):
@@ -421,6 +455,8 @@ _BAD_NUMBER_BATCHES = {
     "generate": ["generate", "--out-dir", "x", "--ensemble", "random", "--n", "6", "--m", "10"],
     "sweep": ["sweep", "--axis", "n", "--values", "6", "--ensemble", "random"],
     "m-over-n": ["sweep", "--axis", "m-over-n", "--n", "6", "--ensemble", "random"],
+    "compact": ["run", "--engine", "compact", "--n", "8"],
+    "verify": ["verify"],
 }
 
 
@@ -444,6 +480,11 @@ _BAD_NUMBER_BATCHES = {
         ("--m-ratio", "sweep", ["--m-ratio", "nan"]),
         ("--m-ratio", "sweep", ["--m-ratio", "-1"]),
         ("--m-ratio", "sweep", ["--m-ratio", "1e308"]),  # finite, but m is not
+        ("--full-limit", "run", ["--full-limit", "-1"]),
+        ("--full-limit", "compact", ["--full-limit", "0"]),
+        ("--alpha", "verify", ["--alpha", "3"]),
+        ("--alpha", "verify", ["--alpha", "-1"]),
+        ("--dense-limit", "verify", ["--dense-limit", "-1"]),
     ],
 )
 def test_a_bad_number_is_refused_by_its_flag_name(flag, batch, flags, capsys, tmp_path):

@@ -14,6 +14,7 @@ from oracles import (
     compact_histogram,
     exact_scaled_shell_transform,
     initial_compact,
+    plain_compact_run,
     shell_weights,
     start_vector,
 )
@@ -21,7 +22,7 @@ from qlsat.compact import build_v_scaled, compact_run
 from qlsat.engine import run_trial
 from qlsat.generate import EnsembleSpec, generate
 from qlsat.mixer import MixerSpec, dense_u, u_coefficients
-from qlsat.phases import KIND_NEIGHBORHOOD, KIND_SIMPLE, PolicySpec
+from qlsat.phases import KIND_NEIGHBORHOOD, KIND_SIMPLE, PolicySpec, resolve_policy, sign_blocks
 from qlsat.sat import SatProblem, clause_from_literals
 
 NEIGHBORHOOD = PolicySpec(KIND_NEIGHBORHOOD)
@@ -286,6 +287,51 @@ def test_compact_run_matches_the_exact_transform_engine(n, monkeypatch):
     exact = compact_run(n, NEIGHBORHOOD)
     np.testing.assert_allclose(result.p_soln_by_step, exact.p_soln_by_step, rtol=0, atol=1e-12)
     assert result.best_j == exact.best_j
+
+
+# (n, m, policy) whose smaller sign sets lie in the upper shells: the +1
+# shells of the neighborhood policy, from above m at n_start = 250 (an
+# empty set) and at the top at n_start = 100; the -1 shells of a high
+# threshold; and at m = 3 the -1 shells {0, 3}, the one set here that is
+# not contiguous
+UPPER_SETS = [
+    (300, 200, PolicySpec(KIND_NEIGHBORHOOD, n_start=250)),
+    (120, 120, PolicySpec(KIND_NEIGHBORHOOD, n_start=100)),
+    (300, 300, PolicySpec(KIND_SIMPLE, c_start=250)),
+    (4, 3, PolicySpec(KIND_NEIGHBORHOOD, n_start=2)),
+]
+KINDS = (KIND_SIMPLE, KIND_NEIGHBORHOOD)
+
+
+@pytest.mark.parametrize(
+    "n,m,policy,j_max",
+    [
+        *[(n, n, PolicySpec(kind), None) for n in (100, 300, 600) for kind in KINDS],
+        *[(300, 200, PolicySpec(kind), None) for kind in KINDS],
+        *[(300, 300, PolicySpec(kind), j_max) for kind in KINDS for j_max in (0, 1, 2)],
+        *[(n, m, policy, None) for n, m, policy in UPPER_SETS],
+    ],
+)
+def test_reflection_steps_match_the_plain_product(n, m, policy, j_max):
+    got = compact_run(n, policy, j_max=j_max, m=m, record_histograms=True)
+    want = plain_compact_run(n, policy, j_max=j_max, m=m, record_histograms=True)
+    assert got.steps == want.steps
+    assert got.best_j == want.best_j
+    np.testing.assert_allclose(got.p_soln_by_step, want.p_soln_by_step, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.histograms, want.histograms, rtol=0, atol=1e-12)
+    if j_max is not None:
+        assert got.steps == j_max
+    if got.steps < 2:  # step 1 is the plain product itself
+        assert got.p_soln_by_step == want.p_soln_by_step
+
+
+def test_upper_sign_sets_run_every_kind_of_step():
+    kinds = set()
+    for n, m, policy in UPPER_SETS:
+        blocks = sign_blocks(resolve_policy(policy, n, m, 1), n, m)
+        for _, rows, plus in list(qlsat.compact._sign_sets(blocks, m))[1:]:
+            kinds.add((isinstance(rows, slice), plus))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_shell_transform_past_the_normal_float_range():

@@ -60,3 +60,4 @@ qlsat run --ensemble random-soluble --n 4 --k 2 --m 6 --trials 3 --seed 11 --alp
 qlsat run --engine compact --n 8 --alpha 2
 qlsat sweep --axis m-over-n --values 3 --n 8 --m 7 --ensemble random
 qlsat run inst/*.cnf cnt/*.cnf --policy neighborhood --histograms --format csv
+qlsat run --engine compact --n 120 --policy neighborhood --n-start 100 --histograms

@@ -32,9 +32,11 @@ of a millisecond trial these fixed costs are.
 instead, one child per policy.  Each prints the median time, over
 COMPACT_REPEATS calls after one warm-up, of each layer of the run: the start vector, the
 shell transform (which builds its own start vector), the V product (the
-build of V from a ready transform), all the sign tables, the matvec steps
-with their readouts, and the whole run.  The transform and the run each
-start with the start-vector cache emptied, as for an m not seen last.
+build of V from a ready transform), all the sign tables, the steps (the
+whole of ``compact_run`` with ``build_v_scaled`` handing it a ready V, so
+its sign tables, steps and readouts), and the whole run.  The transform
+and the run each start with the start-vector cache emptied, as for an m
+not seen last.
 
 ``--src`` profiles the checkout at DIR (its package is imported from
 DIR/src) instead of this one, so two checkouts can be compared.
@@ -151,8 +153,6 @@ def profile(n: int, src: str, kind: str, clauses: bool) -> None:
 
 def profile_compact(n: int, src: str, kind: str) -> None:
     sys.path.insert(0, str(Path(src).resolve() / "src"))
-    import numpy as np
-
     from qlsat import PolicySpec, compact
     from qlsat.phases import resolve_policy, sign_tables
 
@@ -160,8 +160,7 @@ def profile_compact(n: int, src: str, kind: str) -> None:
     resolved = resolve_policy(policy, n, n, 1)
     t = compact._scaled_shell_transform(n)
     v = compact.build_v_scaled(n)
-    start = np.ldexp(*compact._start_vector(n))
-    tables = list(sign_tables(resolved, n, n))
+    steps_run = sum(1 for _ in sign_tables(resolved, n, n))
 
     def v_product():
         # build_v_scaled on the ready transform: only its own work is timed
@@ -173,10 +172,13 @@ def profile_compact(n: int, src: str, kind: str) -> None:
             compact._scaled_shell_transform = build
 
     def steps():
-        phi = start.copy()
-        for signs in tables:
-            phi = v @ (phi * signs[: n + 1])
-            float(phi[0] ** 2)
+        # compact_run on the ready V: the engine's own steps are timed
+        build = compact.build_v_scaled
+        compact.build_v_scaled = lambda n, m=None: v
+        try:
+            compact.compact_run(n, policy)
+        finally:
+            compact.build_v_scaled = build
 
     # checkouts from before the start vector was cached have no cache to empty
     start_vector = getattr(compact._start_vector, "__wrapped__", compact._start_vector)
@@ -194,7 +196,7 @@ def profile_compact(n: int, src: str, kind: str) -> None:
         )
     }
     print(
-        f"{kind:<16} compact n={n} ({len(tables)} steps): "
+        f"{kind:<16} compact n={n} ({steps_run} steps): "
         + ", ".join(f"{name} {ms:.3f} ms" for name, ms in times.items()),
         flush=True,
     )
