@@ -21,13 +21,15 @@ Sweep point i is the aggregate of the inline ``run`` batch seeded
 ``instance_seed_sequence(seed, i)`` with the point's n and m; the point
 records the first error of that batch instead.  A compact batch evolves
 its shells once: its trials differ only in the planted value, which the
-shell dynamics do not read.
+shell dynamics do not read, so a compact ``run`` maps its trials on one
+thread.
 
 Environment overrides (flags win, for the commands that take the flag):
 QLSAT_SEED, QLSAT_THREADS, QLSAT_FORMAT, QLSAT_FULL_LIMIT, QLSAT_DENSE_LIMIT.
 
-Exit codes: 0 success, 1 usage error (or a closed output pipe), 2
-verification failure, 3 capacity exceeded.
+Exit codes: 0 success, 1 usage error (or a closed output pipe, or an
+output that cannot be written), 2 verification failure, 3 capacity
+exceeded.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import json
 import math
 import os
 import sys
-import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -177,6 +178,9 @@ def _check_args(args: argparse.Namespace) -> None:
         return
     if args.format not in FORMATS:  # argparse checks choices only of a given flag
         raise _UsageError(f"QLSAT_FORMAT must be one of {', '.join(FORMATS)}, got {args.format!r}")
+    out = Path(args.out)
+    if args.out != "-" and (out.is_dir() or not out.parent.is_dir()):
+        raise _UsageError(f"--out must name a file in an existing directory, got {args.out}")
     files = getattr(args, "instances", None)
     if files:  # files bring their own instances
         given = [f"--{name}" for name in ("trials", "n", "m", "ensemble", "planted")
@@ -410,28 +414,19 @@ def _load_instances(
     return items
 
 
-def _compact_trial(args: argparse.Namespace) -> Callable[[int, int], engine_mod.RunResult]:
-    """The shell-engine trial of one compact batch, run once for all its trials.
+def _shell_run(args: argparse.Namespace) -> Callable[[], engine_mod.RunResult]:
+    """The one shell-engine result of a compact batch, made by its first trial.
 
-    A batch's trials share n and m, and the shell dynamics do not depend
-    on the planted value, so they share one result.  The first trial runs
-    it; pooled trials wait for it rather than run it again.
+    A compact batch is inline, with one n and one m, and the shell dynamics
+    do not read the planted value, so its trials share one result.  A run
+    that raises is not cached, so each trial gets the error.
     """
-    lock = threading.Lock()
-    run = functools.cache(
-        lambda n, m: compact_mod.compact_run(
-            n, args.policy_spec, j_max=args.j_max, m=m, record_histograms=args.histograms
-        )
-    )
-
-    def trial(n: int, m: int) -> engine_mod.RunResult:
-        with lock:
-            return run(n, m)
-
-    return trial
+    return functools.cache(lambda: compact_mod.compact_run(
+        args.n, args.policy_spec, j_max=args.j_max, m=args.m, record_histograms=args.histograms
+    ))
 
 
-def _run_one(item, args, config, compact_trial) -> dict:
+def _run_one(item, args, config, shell_run) -> dict:
     desc, source = item
     record: dict = {"record": "run", "config": config, "instance": desc}
     if "error" in desc:
@@ -441,7 +436,7 @@ def _run_one(item, args, config, compact_trial) -> dict:
         if args.engine == "compact":
             if source is not None:  # the shell engine reads only the planted value
                 desc["planted"] = draw_planted(source)
-            result = compact_trial(desc["n"], desc["m"])
+            result = shell_run()
         else:
             if isinstance(source, EnsembleSpec):
                 inst = generate_instance(source)
@@ -476,8 +471,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _config(args)
     items = _load_instances(args)
     _check_capacity(args, (desc["n"] for desc, _ in items if "error" not in desc))
-    compact_trial = _compact_trial(args)
-    records = _map(lambda item: _run_one(item, args, config, compact_trial), items, args.threads)
+    shell_run = _shell_run(args)
+    threads = 1 if args.engine == "compact" else args.threads  # one shared shell run
+    records = _map(lambda item: _run_one(item, args, config, shell_run), items, threads)
     _emit(records, args.format, args.out)
     return EXIT_OK
 
@@ -539,9 +535,9 @@ def _sweep_point_record(point: dict, args: argparse.Namespace, config: dict) -> 
         record["error"] = f"{type(exc).__name__}: {exc}"
         return record
     results = []
-    compact_trial = _compact_trial(batch)
+    shell_run = _shell_run(batch)
     for item in items:  # as in a run batch, but the first error ends the point
-        run = _run_one(item, batch, config, compact_trial)
+        run = _run_one(item, batch, config, shell_run)
         if "error" in run:
             record["error"] = run["error"]
             return record
@@ -709,6 +705,9 @@ def main(argv: list[str] | None = None) -> int:
         # the reader has gone: exit 1, as Python does on EPIPE, and point
         # stdout at devnull so the flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    except OSError as exc:  # an output file or directory that cannot be written
+        print(f"qlsat: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
         if blas:

@@ -126,11 +126,6 @@ def _unrank(n: int, k: int, rank: int, packed: int) -> tuple[int, int]:
     return mask, value
 
 
-def unrank_subset(n: int, k: int, rank: int) -> int:
-    """Bitmask of the rank-th k-subset of n items, lexicographic by item index."""
-    return _unrank(n, k, rank, 0)[0]
-
-
 def unrank_clause(n: int, k: int, index: int) -> ConflictPattern:
     """The index-th clause of the universe, ordered (mask rank, value bits)."""
     return ConflictPattern(*_unrank(n, k, index >> k, index & ((1 << k) - 1)))

@@ -82,21 +82,13 @@ class ResolvedPolicy:
     n_start: int | None = None
 
 
-def step_cap(kind: str, c_start: Fraction | None, n_start: int | None) -> int:
-    if kind == KIND_SIMPLE:
-        return floor(c_start) + 1
-    return n_start + 1
-
-
 def resolve_policy(spec: PolicySpec, n: int, m: int, k: int) -> ResolvedPolicy:
     """Fill in instance-derived defaults and the step cap."""
-    c_start = n_start = None
     if spec.kind == KIND_SIMPLE:
         c_start = spec.c_start if spec.c_start is not None else Fraction(m, 1 << k)
-    else:
-        n_start = spec.n_start if spec.n_start is not None else n // 2
-    cap = step_cap(spec.kind, c_start, n_start)
-    return ResolvedPolicy(spec.kind, cap, c_start=c_start, n_start=n_start)
+        return ResolvedPolicy(spec.kind, floor(c_start) + 1, c_start=c_start)
+    n_start = spec.n_start if spec.n_start is not None else n // 2
+    return ResolvedPolicy(spec.kind, n_start + 1, n_start=n_start)
 
 
 def policy_table(policy: ResolvedPolicy, conflicts: np.ndarray) -> np.ndarray:

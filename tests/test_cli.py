@@ -1,6 +1,8 @@
 """Command-line behavior: records, formats, determinism, exit codes."""
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -16,6 +18,7 @@ import pytest
 
 import qlsat.cli
 import qlsat.compact
+import qlsat.engine
 import qlsat.mixer
 from qlsat.cli import build_parser, main
 from qlsat.generate import ENSEMBLE_KINDS, EnsembleSpec, generate, instance_seed_sequence
@@ -207,6 +210,17 @@ def test_run_keeps_going_past_a_malformed_sidecar(tmp_path, capsys):
         assert record["result"]["steps"] >= 1
 
 
+def test_run_keeps_going_past_a_sidecar_that_holds_no_object(tmp_path, capsys):
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.cnf").write_text(REFERENCE_CNF)
+    (tmp_path / "a.json").write_text("[1, 2]\n")
+    code, out, _ = run_cli(capsys, "run", str(tmp_path / "a.cnf"), str(tmp_path / "b.cnf"))
+    assert code == 0
+    bad, good = jsonl(out)
+    assert bad["error"] == f"ValueError: sidecar {tmp_path / 'a.json'} does not hold a JSON object"
+    assert "result" not in bad and good["result"]["best_j"] == 1
+
+
 def test_run_compact_engine_at_the_readme_size(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -248,10 +262,37 @@ def test_a_compact_batch_evolves_its_shells_once(capsys, monkeypatch, threads):
         assert record["result"] == want["result"]
     assert len({r["instance"]["planted"] for r in records}) == 5
     # the same bytes as a batch that runs every trial
-    monkeypatch.setattr(qlsat.cli, "_compact_trial", lambda args: lambda n, m: compact_run(
-        n, args.policy_spec, j_max=args.j_max, m=m, record_histograms=args.histograms))
+    monkeypatch.setattr(qlsat.cli, "_shell_run", lambda args: lambda: compact_run(
+        args.n, args.policy_spec, j_max=args.j_max, m=args.m, record_histograms=args.histograms))
     code, every, _ = run_cli(capsys, *argv, "--trials", "5", "--threads", threads)
     assert code == 0 and every == out
+
+
+def test_a_compact_batch_of_no_trials_makes_no_shell_run(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batch of no trials ran the shell engine")
+
+    monkeypatch.setattr(qlsat.compact, "compact_run", refuse)
+    code, out, err = run_cli(capsys, "run", "--engine", "compact", "--n", "30", "--trials", "0")
+    assert (code, out, err) == (0, "", "")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_failed_shell_run_is_an_error_of_each_compact_record(capsys, monkeypatch, threads):
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(args)
+        raise MemoryError("no room for the shells")
+
+    monkeypatch.setattr(qlsat.compact, "compact_run", fail)
+    code, out, _ = run_cli(capsys, "run", "--engine", "compact", "--n", "30", "--trials", "3",
+                           "--threads", threads)
+    assert code == 0 and len(calls) == 3  # a failure is not cached
+    records = jsonl(out)
+    assert [r["error"] for r in records] == ["MemoryError: no room for the shells"] * 3
+    assert [r["config"]["threads"] for r in records] == [int(threads)] * 3
+    assert all("result" not in r and "planted" in r["instance"] for r in records)
 
 
 def test_run_compact_engine_draws_only_the_planted_value(capsys, monkeypatch):
@@ -441,6 +482,12 @@ def test_run_histograms_flag(capsys):
         # verify's checks start at n = 2
         ["verify", "--alpha", "3"],
         ["verify", "--dense-limit", "-1"],
+        # malformed ranges
+        ["sweep", "--axis", "n", "--values", "1:2:3:4", "--engine", "compact"],
+        ["sweep", "--axis", "n", "--values", "4:8:0", "--engine", "compact"],
+        ["sweep", "--axis", "n", "--values", "6", "--m", "10"],  # full engine, no ensemble
+        ["run", "x", "--engine", "compact"],  # the compact engine draws its instances
+        ["run", "--ensemble", "random", "--m", "10"],  # an inline batch without --n
     ],
 )
 def test_usage_errors_exit_one(argv, capsys, tmp_path):
@@ -819,6 +866,40 @@ def test_sweep_records_point_errors_and_continues(capsys):
     assert "error" in records[1] and "result" not in records[1]
 
 
+def test_a_failed_sweep_point_is_an_error_record_and_a_quoted_csv_cell(capsys):
+    argv = ["sweep", "--axis", "n", "--values", "4:8:2", "--engine", "compact", "--m", "6"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    records = jsonl(out)
+    assert [r["point"]["n"] for r in records] == [4, 6, 8]
+    error = "ValueError: need 1 <= m <= n, got m=6, n=4"
+    assert records[0]["error"] == error and "result" not in records[0]
+    assert all("error" not in r and r["result"]["steps"] >= 1 for r in records[1:])
+    code, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and f',"{error}",' in out_csv
+    rows = list(csv.DictReader(io.StringIO(out_csv)))
+    assert [row["error"] for row in rows] == [error, "", ""]
+    assert [row["result.steps"] for row in rows] == ["", *(str(r["result"]["steps"])
+                                                          for r in records[1:])]
+
+
+def test_csv_nests_the_histograms_of_a_threaded_compact_batch(capsys):
+    argv = ["run", "--engine", "compact", "--n", "30", "--policy", "neighborhood",
+            "--trials", "3", "--threads", "2", "--histograms"]
+    _, out, _ = run_cli(capsys, *argv)
+    code, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    records = jsonl(out)
+    rows = list(csv.DictReader(io.StringIO(out_csv)))
+    assert len(rows) == len(records) == 3
+    for row, record in zip(rows, records):
+        cell = row["result.histograms"]
+        assert cell.startswith("[") and cell.endswith("]")
+        nested = [[float(v) for v in h.split(";")] for h in cell[1:-1].split("];[")]
+        assert nested == record["result"]["histograms"]
+        assert int(row["instance.planted"]) == record["instance"]["planted"]
+
+
 def test_sweep_point_with_no_trials_writes_strict_json(capsys):
     # an empty batch once gave "mean_final_p": NaN and two numpy warnings
     with warnings.catch_warnings():
@@ -982,6 +1063,41 @@ def test_output_file_destination(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert jsonl(target.read_text())[0]["record"] == "run"
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "batch",
+    [
+        ["run", "--ensemble", "random", "--n", "5", "--m", "10"],
+        ["run", "--engine", "compact", "--n", "30"],
+        ["sweep", "--axis", "n", "--values", "4:8:2", "--engine", "compact", "--m", "6"],
+        ["generate", "--out-dir", "inst", "--ensemble", "random", "--n", "5", "--m", "10"],
+    ],
+)
+def test_an_unwritable_out_is_refused_before_any_trial(batch, where, capsys, monkeypatch,
+                                                       tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial ran before --out was checked")
+
+    monkeypatch.setattr(qlsat.engine, "run_trial", refuse)
+    monkeypatch.setattr(qlsat.compact, "compact_run", refuse)
+    monkeypatch.setattr(qlsat.cli, "generate_instance", refuse)
+    target = tmp_path / "missing" / "x.jsonl" if where == "missing" else tmp_path
+    argv = [str(tmp_path / a) if a == "inst" else a for a in batch]
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 1 and out == ""
+    assert err == f"qlsat: error: --out must name a file in an existing directory, got {target}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_out_dir_that_cannot_be_made_is_an_error_not_a_traceback(capsys, tmp_path):
+    (tmp_path / "f").write_text("")
+    out_dir = tmp_path / "f" / "inst"
+    code, out, err = run_cli(capsys, "generate", "--out-dir", str(out_dir),
+                             "--ensemble", "random", "--n", "5", "--m", "10")
+    assert code == 1 and out == ""
+    assert err.startswith("qlsat: error: ") and err.count("\n") == 1 and str(out_dir) in err
 
 
 def test_module_entry_point():

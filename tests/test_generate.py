@@ -28,7 +28,6 @@ from qlsat.generate import (
     soluble_bound,
     unrank_clause,
     unrank_nonconflicting_clause,
-    unrank_subset,
 )
 from qlsat.sat import ConflictPattern, SatProblem
 
@@ -43,6 +42,11 @@ from oracles import (
 
 # the package re-exports the function generate() under the submodule's name
 generate_mod = importlib.import_module("qlsat.generate")
+
+
+def unrank_subset(n: int, k: int, rank: int) -> int:
+    """The mask of the rank-th k-subset, read off the clause unranking."""
+    return unrank_clause(n, k, rank << k).mask
 
 
 def test_unrank_subset_is_a_lexicographic_bijection():
@@ -155,8 +159,13 @@ def test_random_soluble_delivers_a_solution_and_respects_budget():
     witness = backtrack_solve(inst.problem)
     assert witness is not None and count_conflicts(inst.problem, witness) == 0
     assert DEFAULT_REJECTION_BUDGET == 10_000
-    with pytest.raises(RuntimeError):
+    with pytest.raises(HopelessSpecError):  # refused before its first attempt
         gen_random_soluble(spec, budget=0)
+    # a spec that is not hopeless, but whose one attempt is insoluble
+    spec = EnsembleSpec(n=5, k=3, m=40, kind="random-soluble", seed=0)
+    with pytest.raises(RuntimeError, match="no soluble instance within 1 attempts") as info:
+        gen_random_soluble(spec, budget=1)
+    assert type(info.value) is RuntimeError
 
 
 def test_fully_constrained_prespecified_collapses_to_the_unit_clause_family():

@@ -22,7 +22,6 @@ from qlsat.phases import (
     phase_schedule,
     resolve_policy,
     sign_tables,
-    step_cap,
 )
 from qlsat.sat import (
     ConflictPattern,
@@ -104,6 +103,9 @@ def test_neighborhood_signs_match_the_set_membership_rule():
 
 
 def test_step_cap_values():
+    def step_cap(kind, c_start, n_start):
+        return resolve_policy(PolicySpec(kind, c_start, n_start), n=10, m=40, k=3).max_steps
+
     assert step_cap(KIND_SIMPLE, Fraction(13, 4), None) == 4
     assert step_cap(KIND_SIMPLE, Fraction(3), None) == 4
     assert step_cap(KIND_SIMPLE, Fraction(1, 2), None) == 1

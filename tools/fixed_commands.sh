@@ -61,3 +61,6 @@ qlsat run --engine compact --n 8 --alpha 2
 qlsat sweep --axis m-over-n --values 3 --n 8 --m 7 --ensemble random
 qlsat run inst/*.cnf cnt/*.cnf --policy neighborhood --histograms --format csv
 qlsat run --engine compact --n 120 --policy neighborhood --n-start 100 --histograms
+qlsat sweep --axis n --values 4:8:2 --engine compact --m 6 --format csv
+qlsat run --engine compact --n 30 --policy neighborhood --trials 3 --threads 2 --histograms \
+    --format csv
