@@ -181,6 +181,12 @@ def _check_args(args: argparse.Namespace) -> None:
     out = Path(args.out)
     if args.out != "-" and (out.is_dir() or not out.parent.is_dir()):
         raise _UsageError(f"--out must name a file in an existing directory, got {args.out}")
+    out_dir = getattr(args, "out_dir", None)  # generate's; made at its first instance
+    if out_dir is not None:
+        found = next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists())
+        if not found.is_dir():
+            raise _UsageError(f"--out-dir must be a directory or a path below one, "
+                              f"got {out_dir} ({found} is not a directory)")
     files = getattr(args, "instances", None)
     if files:  # files bring their own instances
         given = [f"--{name}" for name in ("trials", "n", "m", "ensemble", "planted")

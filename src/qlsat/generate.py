@@ -167,9 +167,8 @@ def _sample_distinct(rng: np.random.Generator, universe: int, m: int) -> list[in
 
 
 def _rng_for(seed: int, attempt: int | None = None) -> np.random.Generator:
-    if attempt is None:
-        return np.random.default_rng(np.random.SeedSequence(seed))
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt,)))
+    spawn_key = () if attempt is None else (attempt,)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
 
 
 def _draw_planted(spec: EnsembleSpec, rng: np.random.Generator) -> int:
@@ -280,61 +279,32 @@ def instance_seed_sequence(base_seed: int, index: int) -> int:
 # --- backtracking solver ------------------------------------------------------
 
 
-def _branch_table(problem: SatProblem) -> tuple[list[list[tuple[int, int, int]]], int]:
-    """Clauses by their highest variable d, as (low mask, low value, branch).
-
-    A clause at depth d forbids the value of variable d that its
-    ``branch`` flag names (1 for 0, 2 for 1) once the prefix matches its
-    low pattern on the variables below d.  Also returns the depth from
-    which no clause constrains a variable, or -1 when a zero-width clause
-    forbids everything.
-    """
-    table: list[list[tuple[int, int, int]]] = [[] for _ in range(problem.n)]
-    for c in problem.clauses:
-        if not c.mask:
-            return table, -1
-        d = c.mask.bit_length() - 1
-        table[d].append((c.mask ^ (1 << d), c.value & ~(1 << d), 1 + (c.value >> d)))
-    return table, max((d + 1 for d, row in enumerate(table) if row), default=0)
-
-
-def backtrack_solve(problem: SatProblem) -> int | None:
-    """First satisfying assignment by depth-first search, or None.
+def _search(problem: SatProblem, first: bool) -> int | None:
+    """Pruned depth-first search: the first satisfying assignment, or the count.
 
     Variables are assigned in index order, 0 before 1, and variables past
     the last constrained one stay 0; a branch is pruned as soon as some
-    clause has all its variables set to the falsifying pattern.  One pass
-    over a depth's clauses settles both of its branches.
+    clause has all its variables set to the falsifying pattern.  Clauses
+    are filed by their highest variable d as (low mask, low value,
+    branch): such a clause forbids the value of variable d that
+    ``branch`` names (1 for 0, 2 for 1) once the prefix matches its low
+    pattern, so one pass over a depth's clauses settles both branches.
+    ``first`` is read only at a leaf, so solving does no extra work at a node.
     """
-    table, last = _branch_table(problem)
-    if last < 0:
-        return None
-    stack = [(0, 0)]
-    while stack:
-        depth, prefix = stack.pop()
-        if depth == last:
-            return prefix
-        blocked = 0
-        for low_mask, low_value, branch in table[depth]:
-            if prefix & low_mask == low_value:
-                blocked |= branch
-        if not blocked & 2:
-            stack.append((depth + 1, prefix | 1 << depth))
-        if not blocked & 1:
-            stack.append((depth + 1, prefix))
-    return None
-
-
-def backtrack_count(problem: SatProblem) -> int:
-    """Exact number of satisfying assignments, by pruned enumeration."""
-    table, last = _branch_table(problem)
-    if last < 0:
-        return 0
+    table: list[list[tuple[int, int, int]]] = [[] for _ in range(problem.n)]
+    for c in problem.clauses:
+        if not c.mask:  # a zero-width clause forbids everything
+            return None if first else 0
+        d = c.mask.bit_length() - 1
+        table[d].append((c.mask ^ (1 << d), c.value & ~(1 << d), 1 + (c.value >> d)))
+    last = max((d + 1 for d, row in enumerate(table) if row), default=0)
     leaves = 0
     stack = [(0, 0)]
     while stack:
         depth, prefix = stack.pop()
         if depth == last:
+            if first:
+                return prefix
             leaves += 1
             continue
         blocked = 0
@@ -345,7 +315,17 @@ def backtrack_count(problem: SatProblem) -> int:
             stack.append((depth + 1, prefix | 1 << depth))
         if not blocked & 1:
             stack.append((depth + 1, prefix))
-    return leaves << (problem.n - last)  # unconstrained tail variables
+    return None if first else leaves << (problem.n - last)  # unconstrained tail variables
+
+
+def backtrack_solve(problem: SatProblem) -> int | None:
+    """First satisfying assignment by pruned depth-first search, or None."""
+    return _search(problem, first=True)
+
+
+def backtrack_count(problem: SatProblem) -> int:
+    """Exact number of satisfying assignments, by pruned enumeration."""
+    return _search(problem, first=False)
 
 
 def instance_metadata(instance: GeneratedInstance) -> dict:

@@ -183,8 +183,10 @@ def _transform(a: np.ndarray) -> np.ndarray:
 def _work_vector(x: np.ndarray, inplace: bool) -> np.ndarray:
     """x as the float64 vector a transform works on: x itself or a copy."""
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1 or a.size == 0 or a.size & (a.size - 1):
-        raise ValueError("length must be a power of two")
+    if a.ndim != 1:
+        raise ValueError(f"need a 1-D vector, got shape {a.shape}")
+    if a.size == 0 or a.size & (a.size - 1):
+        raise ValueError(f"length must be a power of two, got {a.size}")
     return a if inplace and a.flags.c_contiguous else a.copy()
 
 

@@ -20,6 +20,7 @@ import qlsat.cli
 import qlsat.compact
 import qlsat.engine
 import qlsat.mixer
+from qlsat.checks import run_checks
 from qlsat.cli import build_parser, main
 from qlsat.generate import ENSEMBLE_KINDS, EnsembleSpec, generate, instance_seed_sequence
 from qlsat.sat import from_dimacs
@@ -782,6 +783,8 @@ def test_verify_refuses_a_dense_limit_below_two(capsys, monkeypatch, limit):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     assert out == ""
+    with pytest.raises(ValueError, match="dense"):  # the library refuses it too
+        next(run_checks(dense_limit=limit))
 
 
 def test_verify_rejects_impossible_alpha(capsys):
@@ -805,6 +808,11 @@ def test_sweep_value_ranges_and_compact_axis(capsys):
         assert result["steps"] == record["point"]["n"] // 2 + 1
         assert result["solved_trials"] == 1
         assert result["mean_cost"] > 0
+    # an empty token in the list is skipped
+    code, out, _ = run_cli(capsys, "sweep", "--axis", "n", "--values", "1,,3", "--engine",
+                           "compact")
+    assert code == 0
+    assert [r["point"]["n"] for r in jsonl(out)] == [1, 3]
 
 
 def test_sweep_m_ratio_on_the_n_axis(capsys):
@@ -1091,13 +1099,21 @@ def test_an_unwritable_out_is_refused_before_any_trial(batch, where, capsys, mon
     assert list(tmp_path.iterdir()) == []
 
 
-def test_an_out_dir_that_cannot_be_made_is_an_error_not_a_traceback(capsys, tmp_path):
+def test_an_out_dir_that_cannot_be_made_is_an_error_not_a_traceback(capsys, monkeypatch,
+                                                                    tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance was generated before --out-dir was checked")
+
+    monkeypatch.setattr(qlsat.cli, "generate_instance", refuse)
     (tmp_path / "f").write_text("")
-    out_dir = tmp_path / "f" / "inst"
-    code, out, err = run_cli(capsys, "generate", "--out-dir", str(out_dir),
-                             "--ensemble", "random", "--n", "5", "--m", "10")
-    assert code == 1 and out == ""
-    assert err.startswith("qlsat: error: ") and err.count("\n") == 1 and str(out_dir) in err
+    for below in (("inst",), ("inst", "deeper"), ()):  # below a regular file, or one itself
+        out_dir = tmp_path.joinpath("f", *below)
+        code, out, err = run_cli(capsys, "generate", "--out-dir", str(out_dir),
+                                 "--ensemble", "random", "--n", "5", "--m", "10")
+        assert code == 1 and out == ""
+        assert err == (f"qlsat: error: --out-dir must be a directory or a path below one, "
+                       f"got {out_dir} ({tmp_path / 'f'} is not a directory)\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
 
 
 def test_module_entry_point():

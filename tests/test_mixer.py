@@ -282,3 +282,19 @@ def test_dense_capacity_guard():
 def test_apply_u_rejects_wrong_length():
     with pytest.raises(ValueError):
         apply_u(MixerSpec(3), np.ones(4))
+
+
+@pytest.mark.parametrize(
+    "transform,x,message",
+    [
+        (fwht, np.ones(3), "length must be a power of two, got 3"),
+        (fwht, np.ones(0), "length must be a power of two, got 0"),
+        (fwht, np.ones((4, 1)), r"need a 1-D vector, got shape \(4, 1\)"),
+        (lambda x: apply_u(MixerSpec(2), x), np.ones((4, 1)),
+         r"need a 1-D vector, got shape \(4, 1\)"),
+    ],
+    ids=["fwht-3", "fwht-0", "fwht-2d", "apply_u-2d"],
+)
+def test_transforms_refuse_a_vector_that_is_not_one_power_of_two_long(transform, x, message):
+    with pytest.raises(ValueError, match=message):
+        transform(x)

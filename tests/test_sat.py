@@ -103,6 +103,8 @@ def test_problem_validation():
         SatProblem(n=1, k=2, clauses=(c,))
     with pytest.raises(ValueError):
         SatProblem(n=2, k=1, clauses=(c,))
+    with pytest.raises(ValueError):  # a clause on a variable beyond n
+        SatProblem(n=2, k=1, clauses=(ConflictPattern(4, 0),))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -114,6 +116,11 @@ def test_conflict_vector_matches_per_assignment_count(n, k, m, seed):
     for s in range(1 << n):
         assert vec[s] == count_conflicts(problem, s)
     assert float(vec.mean()) == pytest.approx(float(Fraction(m, 2**k)))
+
+
+def test_n_better_vector_refuses_a_table_that_is_not_a_power_of_two_long():
+    with pytest.raises(ValueError, match="power of two"):
+        n_better_vector(np.zeros(6, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("seed", [3, 4])

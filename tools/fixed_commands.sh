@@ -64,3 +64,5 @@ qlsat run --engine compact --n 120 --policy neighborhood --n-start 100 --histogr
 qlsat sweep --axis n --values 4:8:2 --engine compact --m 6 --format csv
 qlsat run --engine compact --n 30 --policy neighborhood --trials 3 --threads 2 --histograms \
     --format csv
+qlsat generate --out-dir sol --ensemble random --n 10 --m 50 --trials 6 --seed 4 --check-soluble
+qlsat generate --out-dir 01.out/x --ensemble random --n 5 --m 10
