@@ -42,13 +42,14 @@ V[c] both row and column c of the symmetric V,
                           = -s_{j-1} * phi_{j-2} + 2 sum_{s_j[c] = +1} phi_{j-1}[c] V[c]
 
 so a step reads only the rows of its smaller sign set, O(m) work per row,
-in place of the (m + 1)**2 product that only the first step makes.  A
-contiguous set is one row slice.  After step 1 both policies give
-contiguous sets: the neighborhood policy keeps +1 on at most two shells,
-and the simple threshold inverts the shells above a count.  Any other set
-is a gather of its rows.  The identity holds for V as built only to its
-rounding, so the rounding of V @ V - I enters each step: measured against
-the plain product per step, p moves by at most a few 1e-13 up to n = 2000.
+in place of the (m + 1)**2 product that only the first step makes.  Ties
+go to the +1 set, and after step 1 the set read is one run of shells, a
+slice of V's rows (an empty set is an empty slice): the simple threshold
+inverts the shells above a count, and the neighborhood policy keeps +1 on
+at most two adjacent shells, its -1 set being the smaller only at m <= 2.
+The identity holds for V as built only to its rounding, so the rounding
+of V @ V - I enters each step: measured against the plain product per
+step, p moves by at most a few 1e-13 up to n = 2000.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ _RESCALE_BITS = 512
 
 # what a compact step reads: its signs, the rows of its smaller sign set,
 # and whether that set is the +1 shells
-_StepSigns = tuple[np.ndarray, slice | np.ndarray, bool]
+_StepSigns = tuple[np.ndarray, slice, bool]
 
 
 @functools.lru_cache(maxsize=1)
@@ -158,27 +159,21 @@ def build_v_scaled(n: int, m: int | None = None) -> np.ndarray:
 
 
 def _sign_sets(blocks: Iterator[np.ndarray], m: int) -> Iterator[_StepSigns]:
-    """Per step: its signs on shells 0..m, the rows of its smaller sign set, and which set.
+    """Per step: its signs on shells 0..m, the slice of its smaller sign set, and which set.
 
-    The set is the -1 shells, or the +1 shells when they are fewer (then
-    the flag is True).  Its rows are a slice when the set is contiguous,
-    else their indices.  The sets of every step of a block are found in
-    one pass over the block.
+    Blocks arrive m + 1 wide.  The set is the -1 shells, or the +1 shells
+    when they are no more (then the flag is True).  After step 1 it is one
+    run of shells, the slice from its first shell; step 1's set need not
+    be, and its slice is never read.  The sets of every step of a block
+    are found in one pass over the block.
     """
     for block in blocks:
-        block = block[:, : m + 1]
         neg = block < 0
         count = np.count_nonzero(neg, axis=1)
-        plus = 2 * count > m + 1
-        chosen = neg != plus[:, None]
-        size = np.where(plus, m + 1 - count, count)
-        lo = chosen.argmax(axis=1)
-        hi = m + 1 - chosen[:, ::-1].argmax(axis=1)
-        rows = [
-            slice(a, b) if b - a == k else np.flatnonzero(each)
-            for a, b, k, each in zip(lo.tolist(), hi.tolist(), size.tolist(), chosen)
-        ]
-        yield from zip(block, rows, plus.tolist())
+        plus = 2 * count >= m + 1
+        lo = (neg != plus[:, None]).argmax(axis=1)
+        hi = lo + np.where(plus, m + 1 - count, count)
+        yield from zip(block, map(slice, lo.tolist(), hi.tolist()), plus.tolist())
 
 
 def compact_run(
@@ -221,11 +216,11 @@ def compact_run(
         return out
 
     # shell c has c conflicts and c better neighbors, so its sign is entry c
-    # of the step's sign table
+    # of the step's sign table, and both policies read counts 0..m
     return evolve(
         "compact",
         phi,
-        _sign_sets(sign_blocks(resolved, n, m, j_max), m),
+        _sign_sets(sign_blocks(resolved, m, m, j_max), m),
         step,
         lambda phi: float(phi[0] * phi[0]),
         histogram_of=np.square if record_histograms else None,

@@ -8,7 +8,7 @@ imaginary part.  One step multiplies by the phase vector and mixes:
     x_next = U @ (signs_j * x)
 
 Both happen in place on the one state a trial holds.  The phase vector is
-never formed: each piece of READOUT_PIECE amplitudes is multiplied by the
+never formed: each piece of TABLE_PIECE amplitudes is multiplied by the
 step's sign of each count value, gathered by that piece of the count
 table (``apply_signs``).
 
@@ -31,12 +31,7 @@ import numpy as np
 from . import mixer as mixer_mod
 from .mixer import MixerSpec
 from .phases import PolicySpec, policy_table, resolve_policy, sign_tables
-from .sat import DEFAULT_FULL_LIMIT, SatProblem, check_full_capacity, conflict_vector
-
-# Assignments per piece of a readout or a sign flip (64 KiB of float64):
-# the solution and histogram readouts and the per-step sign gather make
-# temporaries of a few pieces, not of the state.
-READOUT_PIECE = 1 << 13
+from .sat import DEFAULT_FULL_LIMIT, TABLE_PIECE, SatProblem, check_full_capacity, conflict_vector
 
 _Signs = TypeVar("_Signs")  # what ``evolve`` hands each step, as its engine needs it
 
@@ -73,20 +68,20 @@ def init_uniform(n: int, limit: int | None = DEFAULT_FULL_LIMIT) -> np.ndarray:
 def solution_readout(conflicts: np.ndarray) -> Callable[[np.ndarray], float]:
     """Probability mass on the satisfying assignments, for every step of a trial.
 
-    With at most READOUT_PIECE solutions their indices are held and each
+    With at most TABLE_PIECE solutions their indices are held and each
     readout is np.sum(x[solutions] ** 2).  With more, each readout sums the
-    solutions of each piece of READOUT_PIECE assignments and adds the piece
+    solutions of each piece of TABLE_PIECE assignments and adds the piece
     sums exactly (math.fsum): its rounding error is that of one piece's
     np.sum, and its temporaries stay at a few pieces however many solutions
     there are.
     """
     solved = conflicts == 0
-    if np.count_nonzero(solved) <= READOUT_PIECE:
+    if np.count_nonzero(solved) <= TABLE_PIECE:
         solutions = np.flatnonzero(solved)
         return lambda x: float((x[solutions] ** 2).sum())
     return lambda x: math.fsum(
-        np.sum(x[lo : lo + READOUT_PIECE][conflicts[lo : lo + READOUT_PIECE] == 0] ** 2)
-        for lo in range(0, len(x), READOUT_PIECE)
+        np.sum(x[lo : lo + TABLE_PIECE][conflicts[lo : lo + TABLE_PIECE] == 0] ** 2)
+        for lo in range(0, len(x), TABLE_PIECE)
     )
 
 
@@ -98,8 +93,8 @@ def conflict_histogram(x: np.ndarray, conflicts: np.ndarray, m: int) -> np.ndarr
     index cast are never made for the whole state at once.
     """
     hist = np.zeros(m + 1)
-    for lo in range(0, len(x), READOUT_PIECE):
-        hi = lo + READOUT_PIECE
+    for lo in range(0, len(x), TABLE_PIECE):
+        hi = lo + TABLE_PIECE
         np.add.at(hist, conflicts[lo:hi], np.asarray(x[lo:hi]) ** 2)
     return hist
 
@@ -153,17 +148,17 @@ def evolve(
 
 
 def apply_signs(x: np.ndarray, signs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """x *= signs[table] in place, one READOUT_PIECE of assignments at a time.
+    """x *= signs[table] in place, one TABLE_PIECE of assignments at a time.
 
     ``signs`` holds the sign of every count value and ``table`` each
     assignment's count, so no 2**n phase vector and no 2**n gather index is
     ever made, only one piece of each.  Returns x.
     """
-    if len(x) <= READOUT_PIECE:  # one piece: the whole state
+    if len(x) <= TABLE_PIECE:  # one piece: the whole state
         x *= signs.take(table)
         return x
-    for lo in range(0, len(x), READOUT_PIECE):
-        hi = lo + READOUT_PIECE
+    for lo in range(0, len(x), TABLE_PIECE):
+        hi = lo + TABLE_PIECE
         x[lo:hi] *= signs.take(table[lo:hi])
     return x
 

@@ -18,7 +18,10 @@ DEFAULT_FULL_LIMIT = 26
 
 # Entries (float32) a conflict-table build may hold in its clause
 # indicators, and in one piece of their product, below n = 16; from there
-# up the bound is 2**n / 8 entries, 1/16 of a float64 state.
+# up the bound is 2**n / 8 entries, 1/16 of a float64 state.  Also the
+# assignments per piece of a readout or a sign flip (64 KiB of float64):
+# the solution and histogram readouts and the per-step sign gather make
+# temporaries of a few pieces, not of the state.
 TABLE_PIECE = 1 << 13
 
 

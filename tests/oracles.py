@@ -44,6 +44,11 @@ a time; ``floyd_sample`` draws Floyd's sample one scalar bound at a
 time; the package unranks by bisects and draws all bounds in one call.
 ``first_solution`` is the first satisfying assignment in the backtracking
 search order, found by scanning every assignment.
+
+``relabel`` moves an instance by a symmetry of the hypercube, a
+permutation of the variables and a flip of their polarities.  The mixer
+depends only on Hamming distance, so every solution probability and
+histogram survives the move, to rounding.
 """
 
 import math
@@ -449,3 +454,21 @@ def first_solution(problem: SatProblem) -> int | None:
     """
     solutions = np.flatnonzero(index_conflict_vector(problem) == 0).tolist()
     return min(solutions, key=lambda s: [(s >> i) & 1 for i in range(problem.n)], default=None)
+
+
+def relabel(problem: SatProblem, perm: list[int], flip: int) -> SatProblem:
+    """The instance with variable i moved to perm[i], then the bits of flip negated.
+
+    A clause forbidding (s & mask) == value becomes one forbidding
+    (s & mask') == value' with mask' = perm(mask) and
+    value' = perm(value) ^ (flip & mask').
+    """
+
+    def moved(x: int) -> int:
+        return sum(((x >> i) & 1) << p for i, p in enumerate(perm))
+
+    clauses = []
+    for clause in problem.clauses:
+        mask = moved(clause.mask)
+        clauses.append(ConflictPattern(mask, moved(clause.value) ^ (flip & mask)))
+    return SatProblem(n=problem.n, k=problem.k, clauses=tuple(clauses))

@@ -1,6 +1,7 @@
 """Shell-space engine: transform identities, full-engine agreement, scale."""
 
 import math
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -292,13 +293,20 @@ def test_compact_run_matches_the_exact_transform_engine(n, monkeypatch):
 # (n, m, policy) whose smaller sign sets lie in the upper shells: the +1
 # shells of the neighborhood policy, from above m at n_start = 250 (an
 # empty set) and at the top at n_start = 100; the -1 shells of a high
-# threshold; and at m = 3 the -1 shells {0, 3}, the one set here that is
-# not contiguous
+# threshold; and at m = 3 the tie of the +1 shells {1, 2} with the -1
+# shells {0, 3}, which goes to the +1 shells
 UPPER_SETS = [
     (300, 200, PolicySpec(KIND_NEIGHBORHOOD, n_start=250)),
     (120, 120, PolicySpec(KIND_NEIGHBORHOOD, n_start=100)),
     (300, 300, PolicySpec(KIND_SIMPLE, c_start=250)),
     (4, 3, PolicySpec(KIND_NEIGHBORHOOD, n_start=2)),
+]
+# half ties, where the +1 and -1 sets are equal in size, and a run with
+# nine empty +1 sets
+TIES_AND_EMPTY_SETS = [
+    (3, 3, NEIGHBORHOOD),
+    (5, 5, PolicySpec(KIND_SIMPLE, c_start=Fraction(7, 2))),
+    (30, 30, PolicySpec(KIND_NEIGHBORHOOD, n_start=40)),
 ]
 KINDS = (KIND_SIMPLE, KIND_NEIGHBORHOOD)
 
@@ -309,7 +317,7 @@ KINDS = (KIND_SIMPLE, KIND_NEIGHBORHOOD)
         *[(n, n, PolicySpec(kind), None) for n in (100, 300, 600) for kind in KINDS],
         *[(300, 200, PolicySpec(kind), None) for kind in KINDS],
         *[(300, 300, PolicySpec(kind), j_max) for kind in KINDS for j_max in (0, 1, 2)],
-        *[(n, m, policy, None) for n, m, policy in UPPER_SETS],
+        *[(n, m, policy, None) for n, m, policy in UPPER_SETS + TIES_AND_EMPTY_SETS],
     ],
 )
 def test_reflection_steps_match_the_plain_product(n, m, policy, j_max):
@@ -328,10 +336,30 @@ def test_reflection_steps_match_the_plain_product(n, m, policy, j_max):
 def test_upper_sign_sets_run_every_kind_of_step():
     kinds = set()
     for n, m, policy in UPPER_SETS:
-        blocks = sign_blocks(resolve_policy(policy, n, m, 1), n, m)
+        blocks = sign_blocks(resolve_policy(policy, n, m, 1), m, m)
         for _, rows, plus in list(qlsat.compact._sign_sets(blocks, m))[1:]:
             kinds.add((isinstance(rows, slice), plus))
-    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    assert kinds == {(True, True), (True, False)}
+
+
+def small_policies(n, m):
+    """Every neighborhood start 0..n + 3 and every threshold 0..m + 5/2 in halves."""
+    yield from (PolicySpec(KIND_NEIGHBORHOOD, n_start=s) for s in range(n + 4))
+    yield from (PolicySpec(KIND_SIMPLE, c_start=Fraction(h, 2)) for h in range(2 * m + 6))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_every_step_after_the_first_reads_one_slice_of_its_smaller_set(n):
+    for m in range(1, n + 1):
+        for policy in small_policies(n, m):
+            blocks = sign_blocks(resolve_policy(policy, n, m, 1), m, m)
+            for signs, rows, plus in list(qlsat.compact._sign_sets(blocks, m))[1:]:
+                minus = np.flatnonzero(signs < 0)
+                plus_wanted = 2 * minus.size >= m + 1  # a tie goes to the +1 set
+                want = np.flatnonzero(signs > 0) if plus_wanted else minus
+                assert isinstance(rows, slice)
+                assert plus == plus_wanted
+                assert np.arange(m + 1)[rows].tolist() == want.tolist()
 
 
 def test_shell_transform_past_the_normal_float_range():

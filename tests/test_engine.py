@@ -6,12 +6,11 @@ import weakref
 
 import numpy as np
 import pytest
-from oracles import oracle_trial
+from oracles import oracle_trial, relabel
 
 import qlsat.engine
 import qlsat.mixer
 from qlsat.engine import (
-    READOUT_PIECE,
     RunResult,
     conflict_histogram,
     evolve,
@@ -31,7 +30,7 @@ from qlsat.phases import (
     resolve_policy,
     sign_tables,
 )
-from qlsat.sat import CapacityError, SatProblem, clause_from_literals, conflict_vector
+from qlsat.sat import TABLE_PIECE, CapacityError, SatProblem, clause_from_literals, conflict_vector
 
 
 def two_negated_units() -> SatProblem:
@@ -131,7 +130,7 @@ def conflicts_with_solutions(n: int, count: int, seed: int) -> np.ndarray:
     return conflicts
 
 
-@pytest.mark.parametrize("count", [0, 1, 300, READOUT_PIECE])
+@pytest.mark.parametrize("count", [0, 1, 300, TABLE_PIECE])
 def test_p_soln_is_the_one_sum_up_to_one_piece_of_solutions(count):
     n = 16
     conflicts = conflicts_with_solutions(n, count, seed=count)
@@ -146,12 +145,12 @@ def test_p_soln_over_many_pieces_of_solutions():
     x = np.random.default_rng(2).standard_normal(1 << n)
     assert solution_readout(conflicts)(x) == pytest.approx(np.sum(x**2), rel=1e-15, abs=0)
     # solutions spread unevenly over the pieces of the scan are each taken once
-    odd = conflicts_with_solutions(n, 3 * READOUT_PIECE + 5, seed=3)
+    odd = conflicts_with_solutions(n, 3 * TABLE_PIECE + 5, seed=3)
     assert solution_readout(odd)(x) == pytest.approx(np.sum(x[odd == 0] ** 2), rel=1e-15, abs=0)
     # the piece sums are added exactly: seven pieces of a quarter ulp each
     # would round away one by one against a first piece of 1.0
     y = np.zeros(1 << n)
-    y[0], y[READOUT_PIECE::READOUT_PIECE] = 1.0, 2.0**-27
+    y[0], y[TABLE_PIECE::TABLE_PIECE] = 1.0, 2.0**-27
     assert solution_readout(conflicts)(y) == math.fsum(y**2) == 1 + 2.0**-51
 
 
@@ -261,8 +260,8 @@ def test_run_trial_matches_the_oracle_loop(kind, n):
 
 @pytest.mark.parametrize("kind", [KIND_SIMPLE, KIND_NEIGHBORHOOD])
 def test_signs_applied_piece_by_piece_equal_one_whole_vector_gather(kind):
-    n = 15  # four pieces of READOUT_PIECE assignments
-    assert (1 << n) // READOUT_PIECE == 4
+    n = 15  # four pieces of TABLE_PIECE assignments
+    assert (1 << n) // TABLE_PIECE == 4
     spec = EnsembleSpec(n=n, k=3, m=4 * n, kind="random-soluble", seed=15)
     problem = generate(spec).problem
     policy = resolve_policy(PolicySpec(kind), n, problem.m, problem.k)
@@ -383,3 +382,27 @@ def test_peak_stays_at_2_5_state_vectors_over_many_steps_of_wide_sign_tables():
     # above, neared here by the two-byte conflict table and one 64 KiB block
     # of signs held in a step
     assert (peak - base) / (8 << n) <= 2.5
+
+
+@pytest.mark.parametrize("n", [16, 18])
+@pytest.mark.parametrize("kind", [KIND_SIMPLE, KIND_NEIGHBORHOOD])
+def test_hypercube_symmetries_keep_every_result(n, kind):
+    # no exact oracle reaches n = 16, so each instance is checked against
+    # itself moved by a permutation and polarity flip of its variables, and
+    # against its clauses in another order, which the exact integer
+    # conflict table makes bit-identical
+    rng = np.random.default_rng(n)
+    for seed in range(3):
+        problem = generate(EnsembleSpec(n=n, k=3, m=4 * n, kind="random-soluble", seed=seed)).problem
+        want = run_trial(problem, PolicySpec(kind), record_histograms=True)
+        moved = relabel(problem, rng.permutation(n).tolist(), int(rng.integers(1 << n)))
+        got = run_trial(moved, PolicySpec(kind), record_histograms=True)
+        assert (got.steps, got.best_j) == (want.steps, want.best_j)
+        np.testing.assert_allclose(got.p_soln_by_step, want.p_soln_by_step, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got.histograms, want.histograms, rtol=0, atol=1e-13)
+        order = rng.permutation(problem.m).tolist()
+        shuffled = SatProblem(n, 3, tuple(problem.clauses[i] for i in order))
+        same = run_trial(shuffled, PolicySpec(kind), record_histograms=True)
+        assert same.p_soln_by_step == want.p_soln_by_step
+        assert same.best_j == want.best_j
+        assert np.array_equal(same.histograms, want.histograms)

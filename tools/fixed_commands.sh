@@ -66,3 +66,6 @@ qlsat run --engine compact --n 30 --policy neighborhood --trials 3 --threads 2 -
     --format csv
 qlsat generate --out-dir sol --ensemble random --n 10 --m 50 --trials 6 --seed 4 --check-soluble
 qlsat generate --out-dir 01.out/x --ensemble random --n 5 --m 10
+qlsat run --engine compact --n 30 --policy neighborhood --n-start 40 --histograms
+qlsat run --engine compact --n 3 --policy neighborhood --histograms
+qlsat run --engine compact --n 5 --c-start 7/2 --histograms
