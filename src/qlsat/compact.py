@@ -22,11 +22,13 @@ matrix is orthogonal with entries bounded by one, so norms survive to n
 in the thousands, and phi_c**2 is the probability of shell c.
 
 The orthogonal shell transform is built in float64 by the three-term
-recurrence of the orthonormal Krawtchouk functions, vectorised over all
-shells at once and run only up to the middle column; the upper half
-follows by reflection.  Each shell starts from a correctly rounded
-sqrt(comb(m, b) / 2**m) held as mantissa and power-of-two exponent, so no
-big integer is ever converted to float.  Entries agree with the exact
+recurrence of the orthonormal Krawtchouk functions, vectorised over
+shells 0..m/2 and run only up to the middle column; the upper shells
+follow by the mirror T[m-b, c] = (-1)**c T[b, c], exact in float64, and
+the upper columns by reflection.  Each shell starts from a correctly
+rounded sqrt(comb(m, b) / 2**m) held as mantissa and power-of-two
+exponent, so no big integer is ever converted to float; up to m = 1026
+the recurrence runs on the scaled starts.  Entries agree with the exact
 big-integer construction to a few 1e-15 for m up to 1000, and the tests
 gate them at 1e-14.
 
@@ -42,11 +44,13 @@ V[c] both row and column c of the symmetric V,
                           = -s_{j-1} * phi_{j-2} + 2 sum_{s_j[c] = +1} phi_{j-1}[c] V[c]
 
 so a step reads only the rows of its smaller sign set, O(m) work per row,
-in place of the (m + 1)**2 product that only the first step makes.  Ties
-go to the +1 set, and after step 1 the set read is one run of shells, a
-slice of V's rows (an empty set is an empty slice): the simple threshold
-inverts the shells above a count, and the neighborhood policy keeps +1 on
-at most two adjacent shells, its -1 set being the smaller only at m <= 2.
+in place of the (m + 1)**2 product that only the first step makes.  The
+engine holds 2V, doubled once and exactly, so a step is one product by
+rows of 2V and one subtraction.  Ties go to the +1 set, and after step 1
+the set read is one run of shells, a slice of V's rows (an empty set is
+an empty slice): the simple threshold inverts the shells above a count,
+and the neighborhood policy keeps +1 on at most two adjacent shells, its
+-1 set being the smaller only at m <= 2.
 The identity holds for V as built only to its rounding, so the rounding
 of V @ V - I enters each step: measured against the plain product per
 step, p moves by at most a few 1e-13 up to n = 2000.
@@ -56,12 +60,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Iterator
 
 import numpy as np
 
 from .engine import RunResult, evolve
-from .phases import PolicySpec, resolve_policy, sign_blocks
+from .phases import PolicySpec, check_j_max, resolve_policy, sign_blocks
 
 _RESCALE_BITS = 512
 
@@ -102,40 +107,59 @@ def _scaled_shell_transform(m: int) -> np.ndarray:
     """Orthogonal form of the shell transform over m constrained variables.
 
     T[b, c] = S(m, c, b) * sqrt(comb(m, b) / (comb(m, c) * 2**m)), built
-    column by column for all b at once from the orthonormal recurrence
+    column by column on shells 0..m/2 from the orthonormal recurrence
 
         sqrt((c+1)(m-c)) t_{c+1} = (m - 2b) t_c - sqrt(c(m-c+1)) t_{c-1}
 
-    for c up to m/2.  Forward recurrence is unstable where the functions
-    decay, so the columns above m/2 come from T[b, m-c] = (-1)**b T[b, c].
-    T is symmetric.  Each shell runs on its start's mantissa and keeps the
-    exponent apart.  Entries are bounded by one, so a shell grows by at most
-    2**-exp from its start; when that can pass 2**_RESCALE_BITS (m above
-    about 1000), values that large are rescaled by an exact power of two.
+    for c up to m/2.  As m - 2b and the starts mirror, so do the shells:
+    T[m-b, c] = (-1)**c T[b, c], exactly in float64, as rounding is
+    symmetric under negation.  Forward recurrence is unstable where the
+    functions decay, so the columns above m/2 come from
+    T[b, m-c] = (-1)**b T[b, c].  T is symmetric.  With no start below
+    2**-_RESCALE_BITS (m up to 1026) the recurrence runs on the starts, as
+    scaling by 2**exp is exact there.  Past that each shell runs on its
+    start's mantissa and keeps the exponent apart; entries are bounded by
+    one, so a shell grows by at most 2**-exp from its start, and values
+    past 2**_RESCALE_BITS are rescaled by an exact power of two.
     """
     half = m // 2
-    cur, exp = _start_vector(m)
-    may_grow_large = exp.min() < -_RESCALE_BITS
-    if may_grow_large:  # the rescale writes into prev and exp
-        cur, exp = cur.copy(), exp.copy()
-    x = m - 2.0 * np.arange(m + 1)
+    mant, exp = _start_vector(m)
+    x = m - 2.0 * np.arange(half + 1)
     c = np.arange(half, dtype=float)
-    up = 1.0 / np.sqrt((c + 1) * (m - c))
-    back = np.sqrt(c * (m - c + 1))
+    up = (1.0 / np.sqrt((c + 1) * (m - c))).tolist()
+    back = np.sqrt(c * (m - c + 1)).tolist()
     rows = np.empty((m + 1, m + 1))  # rows[c] is column c of T
-    np.ldexp(cur, exp, out=rows[0])
-    prev = np.zeros(m + 1)
-    for j in range(half):
-        prev, cur = cur, (x * cur - back[j] * prev) * up[j]
-        if may_grow_large:
+    cols = rows[: half + 1, : half + 1]  # columns 0..m/2 on shells 0..m/2
+    np.ldexp(mant[: half + 1], exp[: half + 1], out=cols[0])
+    prev = np.zeros(half + 1)
+    if exp.min() >= -_RESCALE_BITS:
+        for cur, out, up_j, back_j in zip(cols, cols[1:], up, back):
+            np.multiply(x, cur, out=out)
+            out -= back_j * prev
+            out *= up_j
+            prev = cur
+    else:  # the rescale writes into prev and exp
+        cur, exp = mant[: half + 1].copy(), exp[: half + 1].copy()
+        for j in range(half):
+            prev, cur = cur, (x * cur - back[j] * prev) * up[j]
             big = np.abs(cur) > 2.0**_RESCALE_BITS
             prev[big] = np.ldexp(prev[big], -_RESCALE_BITS)
             cur[big] = np.ldexp(cur[big], -_RESCALE_BITS)
             exp[big] += _RESCALE_BITS
-        np.ldexp(cur, exp, out=rows[j + 1])
+            np.ldexp(cur, exp, out=cols[j + 1])
     parity = np.where(np.arange(m + 1) % 2, -1.0, 1.0)
+    # the shells above m/2 of columns 0..m/2, then the columns above m/2
+    rows[: half + 1, half + 1 :] = rows[: half + 1, m - half - 1 :: -1] * parity[: half + 1, None]
     rows[half + 1 :] = rows[: m - half][::-1] * parity
     return rows.T
+
+
+def _shell_counts(n: int, m: int | None) -> tuple[int, int]:
+    """n and m (default n) as Python ints, with 1 <= m <= n checked."""
+    n, m = operator.index(n), operator.index(n if m is None else m)
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    return n, m
 
 
 def build_v_scaled(n: int, m: int | None = None) -> np.ndarray:
@@ -145,7 +169,7 @@ def build_v_scaled(n: int, m: int | None = None) -> np.ndarray:
     entries in [-1, 1].  For m < n the diagonal threshold still comes from
     the full problem size n.
     """
-    m = n if m is None else m
+    n, m = _shell_counts(n, m)
     t = _scaled_shell_transform(m)
     # T symmetric and orthogonal: T D T = I - 2 F F^T, F the columns D negates
     flip = t[:, n // 2 + 1 :]
@@ -190,11 +214,11 @@ def compact_run(
     shell, and the histogram of a step is every shell's squared scaled
     amplitude.  m defaults to n (the fully constrained case).
     """
-    m = n if m is None else m
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    n, m = _shell_counts(n, m)
+    check_j_max(j_max)
     resolved = resolve_policy(policy, n=n, m=m, k=1)
-    v = build_v_scaled(n, m)
+    v2 = build_v_scaled(n, m)
+    v2 *= 2.0  # 2V, exact, so no step after the first multiplies by two
     # scaled initial state phi_c = sqrt(w_c / 2**n) = sqrt(comb(m,c) / 2**m),
     # the start vector that column 0 of the shell transform was just built from
     phi = np.ldexp(*_start_vector(m))
@@ -203,11 +227,12 @@ def compact_run(
     def step(phi: np.ndarray, item: _StepSigns) -> np.ndarray:
         nonlocal before
         signs, rows, plus = item
-        if before is None:  # step 1 multiplies by the whole of V
+        if before is None:  # step 1 multiplies by the whole of 2V, then halves
             before = phi * signs
-            return v @ before
-        out = np.dot(phi[rows], v[rows])
-        out *= 2.0
+            out = v2 @ before
+            out *= 0.5
+            return out
+        out = np.dot(phi[rows], v2[rows])
         if plus:
             out -= before
         else:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import mixer as mixer_mod
 from .mixer import MixerSpec
-from .phases import PolicySpec, policy_table, resolve_policy, sign_tables
+from .phases import PolicySpec, check_j_max, policy_table, resolve_policy, sign_tables
 from .sat import DEFAULT_FULL_LIMIT, TABLE_PIECE, SatProblem, check_full_capacity, conflict_vector
 
 _Signs = TypeVar("_Signs")  # what ``evolve`` hands each step, as its engine needs it
@@ -177,6 +177,7 @@ def run_trial(
     this engine is limited to moderate n (see ``limit``).  ``mixer``
     defaults to ``MixerSpec(problem.n)``.
     """
+    check_j_max(j_max)
     spec = mixer if mixer is not None else MixerSpec(problem.n)
     if spec.n != problem.n:
         raise ValueError(f"mixer is for n={spec.n}, problem has n={problem.n}")

@@ -91,6 +91,12 @@ def resolve_policy(spec: PolicySpec, n: int, m: int, k: int) -> ResolvedPolicy:
     return ResolvedPolicy(spec.kind, n_start + 1, n_start=n_start)
 
 
+def check_j_max(j_max: int | None) -> None:
+    """Refuse a negative step limit, before a trial builds anything."""
+    if j_max is not None and j_max < 0:
+        raise ValueError(f"j_max must be 0 or more, got {j_max}")
+
+
 def policy_table(policy: ResolvedPolicy, conflicts: np.ndarray) -> np.ndarray:
     """Per-assignment counts the policy's signs depend on.
 

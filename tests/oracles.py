@@ -34,6 +34,9 @@ exact big-integer Krawtchouk rows, one correctly rounded square root per
 entry.  It is O(m**2) Python big-integer work and converts integers of
 size 2**m to float, so it overflows once m passes about 1020; the package
 builds the same matrix by a float recurrence instead.
+``all_shells_scaled_shell_transform`` is that float recurrence run on
+every shell, each column scaled back by its own ``ldexp``; the package
+runs it on shells 0..m/2 only and mirrors the rest, with the same bits.
 ``plain_compact_run`` is ``compact_run`` with one product by the whole
 shell mixing matrix per step, where the package reads only the rows of
 each step's smaller sign set from step 2 on.
@@ -225,6 +228,38 @@ def exact_scaled_shell_transform(m: int) -> np.ndarray:
             k = row[b]
             t[b, c] = math.copysign(_int_ratio_sqrt(k * k * binom[b], den), k)
     return t
+
+
+def all_shells_scaled_shell_transform(m: int) -> np.ndarray:
+    """The package's shell transform with the recurrence run on every shell.
+
+    Each shell runs on its start's mantissa and every column is scaled
+    back by its own ``ldexp``.  Where a start lies below 2**-512, values
+    past 2**512 are rescaled by an exact power of two.  The columns above
+    m/2 come from T[b, m-c] = (-1)**b T[b, c].
+    """
+    rescale = qlsat.compact._RESCALE_BITS
+    half = m // 2
+    cur, exp = (a.copy() for a in qlsat.compact._start_vector(m))
+    may_grow_large = exp.min() < -rescale
+    x = m - 2.0 * np.arange(m + 1)
+    c = np.arange(half, dtype=float)
+    up = 1.0 / np.sqrt((c + 1) * (m - c))
+    back = np.sqrt(c * (m - c + 1))
+    rows = np.empty((m + 1, m + 1))  # rows[c] is column c of T
+    np.ldexp(cur, exp, out=rows[0])
+    prev = np.zeros(m + 1)
+    for j in range(half):
+        prev, cur = cur, (x * cur - back[j] * prev) * up[j]
+        if may_grow_large:
+            big = np.abs(cur) > 2.0**rescale
+            prev[big] = np.ldexp(prev[big], -rescale)
+            cur[big] = np.ldexp(cur[big], -rescale)
+            exp[big] += rescale
+        np.ldexp(cur, exp, out=rows[j + 1])
+    parity = np.where(np.arange(m + 1) % 2, -1.0, 1.0)
+    rows[half + 1 :] = rows[: m - half][::-1] * parity
+    return rows.T
 
 
 def plain_compact_run(

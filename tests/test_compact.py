@@ -9,6 +9,7 @@ import pytest
 
 import qlsat.compact
 from oracles import (
+    all_shells_scaled_shell_transform,
     build_d_max,
     build_v_max,
     build_w_max,
@@ -213,6 +214,39 @@ def test_compact_rejects_bad_shell_counts():
         compact_run(5, PolicySpec(KIND_SIMPLE), m=6)
     with pytest.raises(ValueError):
         compact_run(5, PolicySpec(KIND_SIMPLE), m=0)
+    # the shell matrix refuses them too, with the same message
+    with pytest.raises(ValueError, match=r"^need 1 <= m <= n, got m=7, n=5$"):
+        build_v_scaled(5, 7)
+    with pytest.raises(ValueError, match=r"^need 1 <= m <= n, got m=-1, n=-1$"):
+        build_v_scaled(-1)
+
+
+def test_shell_counts_may_be_numpy_integers_but_not_floats():
+    # numpy integers once failed in the start vector's int.bit_length
+    assert compact_run(np.int64(10), NEIGHBORHOOD).steps == 6
+    assert compact_run(10, NEIGHBORHOOD, m=np.int64(5)).steps == 6
+    assert build_v_scaled(np.int64(5)).tobytes() == build_v_scaled(5).tobytes()
+    got = compact_run(np.int64(100), NEIGHBORHOOD, record_histograms=True)
+    want = compact_run(100, NEIGHBORHOOD, record_histograms=True)
+    assert got.p_soln_by_step == want.p_soln_by_step
+    assert np.array(got.histograms).tobytes() == np.array(want.histograms).tobytes()
+    for call in (
+        lambda: compact_run(10.0, NEIGHBORHOOD),
+        lambda: compact_run(10, NEIGHBORHOOD, m=5.0),
+        lambda: build_v_scaled(10.0),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
+@pytest.mark.parametrize("kind", [KIND_SIMPLE, KIND_NEIGHBORHOOD])
+def test_a_negative_j_max_is_refused_before_the_shell_matrix(kind, monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("the shell matrix was built")
+
+    monkeypatch.setattr(qlsat.compact, "build_v_scaled", no_matrix)
+    with pytest.raises(ValueError, match="j_max must be 0 or more, got -1"):
+        compact_run(10, PolicySpec(kind), j_max=-1)
 
 
 def test_simple_policy_cap_scales_with_constraint_count():
@@ -262,12 +296,33 @@ def test_mirrored_start_vector_equals_the_per_shell_loop(m):
     assert not mant.flags.writeable and not exp.flags.writeable
 
 
+# every m to 64; odd and even m around 100 and 300; the last m whose
+# recurrence runs on the scaled starts (1026) and the first that rescales
+# (1027); and subnormal starts from m = 2046 on
+HALF_RECURRENCE_M = [
+    *range(1, 65), 99, 100, 101, 150, 299, 300, 301, 600, 1000,
+    1024, 1025, 1026, 1027, 1030, 2045, 2046, 2047, 2100,
+]
+
+
+@pytest.mark.parametrize("m", HALF_RECURRENCE_M)
+def test_half_recurrence_has_the_bits_of_the_all_shells_recurrence(m):
+    t = all_shells_scaled_shell_transform(m)
+    assert np.array_equal(qlsat.compact._scaled_shell_transform(m), t)
+    if m > 1030:
+        return
+    for n in (m, m + 3):
+        flip = t[:, n // 2 + 1 :]
+        want = np.eye(m + 1) - 2.0 * (flip @ flip.T)
+        assert build_v_scaled(n, m).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [100, 2100])
 def test_compact_run_computes_its_start_vector_once(n):
     qlsat.compact._start_vector.cache_clear()
     result = compact_run(n, NEIGHBORHOOD, j_max=2)
     assert qlsat.compact._start_vector.cache_info().misses == 1
-    # from m = 2046 on the transform rescales; the run must start from the
+    # past m = 1026 the transform rescales; the run must start from the
     # start vector as computed, not from one the rescale wrote into
     qlsat.compact._start_vector.cache_clear()
     assert compact_run(n, NEIGHBORHOOD, j_max=2).p_soln_by_step == result.p_soln_by_step

@@ -214,6 +214,18 @@ def test_j_max_truncates_and_cap_applies():
     assert run_trial(problem, PolicySpec(KIND_SIMPLE), j_max=99).steps == 4
 
 
+def test_a_negative_j_max_is_refused_before_the_conflict_table(monkeypatch):
+    problem = generate(EnsembleSpec(n=6, k=3, m=24, kind="random", seed=9)).problem
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the conflict table was built")
+
+    monkeypatch.setattr(qlsat.engine, "conflict_vector", no_table)
+    for kind in (KIND_SIMPLE, KIND_NEIGHBORHOOD):
+        with pytest.raises(ValueError, match="j_max must be 0 or more, got -1"):
+            run_trial(problem, PolicySpec(kind), j_max=-1)
+
+
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         init_uniform(30)

@@ -69,3 +69,5 @@ qlsat generate --out-dir 01.out/x --ensemble random --n 5 --m 10
 qlsat run --engine compact --n 30 --policy neighborhood --n-start 40 --histograms
 qlsat run --engine compact --n 3 --policy neighborhood --histograms
 qlsat run --engine compact --n 5 --c-start 7/2 --histograms
+qlsat run --engine compact --n 1030 --policy neighborhood
+qlsat run --engine compact --n 1031

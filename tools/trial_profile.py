@@ -30,13 +30,13 @@ of a millisecond trial these fixed costs are.
 
 ``--compact`` profiles ``compact_run(N)`` on the shell-space engine
 instead, one child per policy.  Each prints the median time, over
-COMPACT_REPEATS calls after one warm-up, of each layer of the run: the start vector, the
-shell transform (which builds its own start vector), the V product (the
-build of V from a ready transform), all the sign tables, the steps (the
-whole of ``compact_run`` with ``build_v_scaled`` handing it a ready V, so
-its sign tables, steps and readouts), and the whole run.  The transform
-and the run each start with the start-vector cache emptied, as for an m
-not seen last.
+COMPACT_REPEATS calls after one warm-up, of each layer of the run: the
+start vector, the shell transform (which builds its own start vector),
+the V product (the build of V from a ready transform), all the sign
+tables, the steps (the whole of ``compact_run`` with ``build_v_scaled``
+handing it a copy of a ready V, so its sign tables, steps and readouts,
+and that copy), and the whole run.  The transform and the run each start
+with the start-vector cache emptied, as for an m not seen last.
 
 ``--src`` profiles the checkout at DIR (its package is imported from
 DIR/src) instead of this one, so two checkouts can be compared.
@@ -172,9 +172,10 @@ def profile_compact(n: int, src: str, kind: str) -> None:
             compact._scaled_shell_transform = build
 
     def steps():
-        # compact_run on the ready V: the engine's own steps are timed
+        # compact_run on a copy of the ready V, which the run may double in
+        # place: the engine's own steps are timed, and so is that copy
         build = compact.build_v_scaled
-        compact.build_v_scaled = lambda n, m=None: v
+        compact.build_v_scaled = lambda n, m=None: v.copy()
         try:
             compact.compact_run(n, policy)
         finally:
