@@ -7,10 +7,11 @@ imaginary part.  One step multiplies by the phase vector and mixes:
 
     x_next = U @ (signs_j * x)
 
-Both happen in place on the one state a trial holds.  The phase vector is
-never formed: each piece of TABLE_PIECE amplitudes is multiplied by the
-step's sign of each count value, gathered by that piece of the count
-table (``apply_signs``).
+Both happen in place on the one state a trial holds, in one
+``mixer.apply_u`` call.  The phase vector is never formed: each piece of
+TABLE_PIECE amplitudes is multiplied by the step's sign of each count
+value, gathered by that piece of the count table, as the sweep of the
+first transform reaches it.
 
 Solution probability is read directly off the state (sum of squared
 amplitudes over satisfying assignments), never estimated by sampling.
@@ -147,22 +148,6 @@ def evolve(
     )
 
 
-def apply_signs(x: np.ndarray, signs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """x *= signs[table] in place, one TABLE_PIECE of assignments at a time.
-
-    ``signs`` holds the sign of every count value and ``table`` each
-    assignment's count, so no 2**n phase vector and no 2**n gather index is
-    ever made, only one piece of each.  Returns x.
-    """
-    if len(x) <= TABLE_PIECE:  # one piece: the whole state
-        x *= signs.take(table)
-        return x
-    for lo in range(0, len(x), TABLE_PIECE):
-        hi = lo + TABLE_PIECE
-        x[lo:hi] *= signs.take(table[lo:hi])
-    return x
-
-
 def run_trial(
     problem: SatProblem,
     policy: PolicySpec,
@@ -197,7 +182,7 @@ def run_trial(
         "full",
         init_uniform(problem.n, limit),
         sign_tables(resolved, problem.n, problem.m, j_max),
-        lambda x, signs: mixer_mod.apply_u(spec, apply_signs(x, signs, table), inplace=True),
+        lambda x, signs: mixer_mod.apply_u(spec, x, inplace=True, signs=signs, table=table),
         p_soln_of,
         histogram_of=histogram_of,
     )

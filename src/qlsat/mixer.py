@@ -22,6 +22,8 @@ that each apply the 16x16 Sylvester Hadamard along one group of four index
 bits (Fino & Algazi, IEEE Trans. Computers C-25, 1976): ceil(n/4) matmul
 passes, done in place over cache-sized blocks, planned once per size: up
 to n = 15 the vector is one block, and a pass one reshape and one matmul.
+The passes within a BLOCK run block by block, after the step's signs or
+weights multiply it, so a step sweeps the state four times at n = 20.
 """
 
 from __future__ import annotations
@@ -36,12 +38,13 @@ from .sat import TABLE_PIECE, CapacityError
 # Dense 2**n x 2**n matrices are for oracle checks only.
 DEFAULT_DENSE_LIMIT = 12
 
-# Index bits per transform pass (16-point passes), and the float64 entries
-# one matmul of a pass reads and writes, sized to stay in L2 (one matmul
-# over the whole vector per pass ran an n = 20 trial about 1.4x slower on
-# a Xeon with 2 MB of L2).
+# Index bits per transform pass (16-point passes), the float64 entries one
+# matmul of a pass reads and writes, sized to stay in L2 (one matmul over
+# the whole vector per pass ran an n = 20 trial about 1.4x slower on a Xeon
+# with 2 MB of L2), and the entries (1 MiB) of one block of the low passes.
 RADIX_BITS = 4
 CHUNK = 1 << 15
+BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -152,31 +155,50 @@ def sylvester(bits: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _plan(n: int) -> tuple:
-    """Per pass of the n-bit transform: view shape, Sylvester matrix, whether
-    it multiplies from the right (the 2-D view of pass 0: a stack of (16, 1)
-    columns is slow), and block extents of about CHUNK entries, or None."""
-    plan = []
+    """The n-bit transform's parts (lo, hi, first, passes): one per BLOCK with
+    the passes whose 16 slices lie in one, then the rest over all entries.
+    Per pass: view shape, Sylvester matrix, whether it multiplies from the
+    right (a stack of (16, 1) columns is slow), CHUNK extents or None."""
+    low, high = [], []
     for done in range(0, n, RADIX_BITS):
         bits = min(RADIX_BITS, n - done)
         r, s = 1 << bits, 1 << done
         shape = (-1, r) if s == 1 else (-1, r, s)
         extents = (CHUNK // r, r) if s == 1 else (max(1, CHUNK // (r * s)), min(s, CHUNK // r))
-        plan.append((shape, sylvester(bits), s == 1, None if 1 << n <= CHUNK else extents))
-    return tuple(plan)
+        passes = low if r * s <= BLOCK else high
+        passes.append((shape, sylvester(bits), s == 1, None if 1 << n <= CHUNK else extents))
+    size = min(1 << n, BLOCK)
+    parts = [(lo, lo + size, True, tuple(low)) for lo in range(0, 1 << n, size)]
+    if high:
+        parts.append((0, 1 << n, False, tuple(high)))
+    return tuple(parts)
 
 
-def _transform(a: np.ndarray) -> np.ndarray:
-    """Transform the contiguous float64 vector a by its plan, in place; returns a."""
-    for shape, h, right, extents in _plan(a.size.bit_length() - 1):
-        view = a.reshape(shape)
-        if extents is None:
-            view[...] = view @ h if right else h @ view
-            continue
-        rows, cols = extents
-        for i in range(0, len(view), rows):
-            for c in range(0, view.shape[-1], cols):
-                blk = view[i : i + rows, ..., c : c + cols]
-                blk[...] = blk @ h if right else h @ blk
+def _transform(a: np.ndarray, signs=None, table=None, weights=None) -> np.ndarray:
+    """Transform the contiguous float64 vector a by its plan, in place; returns a.
+
+    A ``first`` part is first multiplied by ``signs[table]``, else by
+    ``weights``: piece p (a TABLE_PIECE) by row p.bit_count() (see apply_u)."""
+    for lo, hi, first, passes in _plan(a.size.bit_length() - 1):
+        block = a[lo:hi] if hi - lo < a.size else a
+        if not first or table is None and weights is None:
+            pass
+        elif a.size <= TABLE_PIECE:  # one piece: the whole vector
+            a *= weights[0] if table is None else signs.take(table)
+        else:
+            for p in range(lo, hi, TABLE_PIECE):
+                q = p + TABLE_PIECE
+                a[p:q] *= weights[p.bit_count()] if table is None else signs.take(table[p:q])
+        for shape, h, right, extents in passes:
+            view = block.reshape(shape)
+            if extents is None:
+                view[...] = view @ h if right else h @ view
+                continue
+            rows, cols = extents
+            for i in range(0, len(view), rows):
+                for c in range(0, view.shape[-1], cols):
+                    blk = view[i : i + rows, ..., c : c + cols]
+                    blk[...] = blk @ h if right else h @ blk
     return a
 
 
@@ -204,28 +226,25 @@ def fwht(x: np.ndarray, inplace: bool = False) -> np.ndarray:
     return _transform(_work_vector(x, inplace))
 
 
-def apply_u(spec: MixerSpec, x: np.ndarray, inplace: bool = False) -> np.ndarray:
+def apply_u(
+    spec: MixerSpec, x: np.ndarray, inplace: bool = False, signs=None, table=None
+) -> np.ndarray:
     """U @ x via transform, multiply by ``spec.tau_rows``, transform.
 
     The sign flip on high-weight components and the 1/N normalization are
     one multiply between the transforms; scaling by a power of two is
     exact, so its place in the product does not change the result.  The
     multiply goes a piece at a time, each piece by the row of its high
-    bits' weight, so no 2**n weight table is made.  ``inplace`` works as
-    in ``fwht``: x itself is transformed and returned when it is a
-    contiguous float64 array, so no second state vector is made; by
-    default x is left as it was.
+    bits' weight, so no 2**n weight table is made.  Given ``signs`` and
+    ``table``, it is U @ (signs[table] * x).  ``inplace`` works as in
+    ``fwht``: x itself is transformed and returned when it is a contiguous
+    float64 array, so no second state vector is made; by default x is left
+    as it was.
     """
     if len(x) != 1 << spec.n:
         raise ValueError(f"state length {len(x)} does not match n={spec.n}")
-    y, rows = _transform(_work_vector(x, inplace)), spec.tau_rows
-    if len(rows) == 1:  # one piece: the whole state
-        y *= rows[0]
-    else:
-        piece = rows.shape[1]
-        for lo in range(0, len(y), piece):
-            y[lo : lo + piece] *= rows[(lo // piece).bit_count()]
-    return _transform(y)
+    y = _transform(_work_vector(x, inplace), signs, table)
+    return _transform(y, weights=spec.tau_rows)
 
 
 def dense_u(spec: MixerSpec, limit: int | None = DEFAULT_DENSE_LIMIT) -> np.ndarray:

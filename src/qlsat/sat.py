@@ -129,7 +129,9 @@ def n_better_vector(counts: np.ndarray) -> np.ndarray:
 
     The flip of bit i pairs each entry of ``counts.reshape(-1, 2, 2**i)``
     with the entry the axis-reversed view ``[:, ::-1, :]`` puts in its
-    place, so no neighbor index is gathered.  The result uses the
+    place, so no neighbor index is gathered.  For bits 0-2 those views have
+    inner runs of 1-4 entries, so those bits permute the columns of one
+    ``(-1, 8)`` view instead, by ``idx ^ 2**i``.  The result uses the
     narrowest unsigned dtype that holds n.
     """
     size = len(counts)
@@ -137,7 +139,11 @@ def n_better_vector(counts: np.ndarray) -> np.ndarray:
         raise ValueError("conflict table length must be a power of two")
     n = size.bit_length() - 1
     better = np.zeros(size, dtype=np.min_scalar_type(n))
-    for i in range(n):
+    low = min(n, 3)
+    rows, view = counts.reshape(-1, 1 << low), better.reshape(-1, 1 << low)
+    for flip in np.arange(1 << low) ^ (1 << np.arange(low))[:, None]:
+        view += rows.take(flip, axis=1) < rows
+    for i in range(low, n):
         pairs = counts.reshape(-1, 2, 1 << i)
         view = better.reshape(-1, 2, 1 << i)
         view += pairs[:, ::-1, :] < pairs

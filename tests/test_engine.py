@@ -270,10 +270,19 @@ def test_run_trial_matches_the_oracle_loop(kind, n):
     assert result.best_j == best_j
 
 
-@pytest.mark.parametrize("kind", [KIND_SIMPLE, KIND_NEIGHBORHOOD])
-def test_signs_applied_piece_by_piece_equal_one_whole_vector_gather(kind):
-    n = 15  # four pieces of TABLE_PIECE assignments
-    assert (1 << n) // TABLE_PIECE == 4
+@pytest.mark.parametrize(
+    "kind,n",
+    # n = 15: four pieces of TABLE_PIECE assignments in one transform block;
+    # n = 18: two blocks of the low transform passes, each flipped just before
+    [
+        pytest.param(kind, n, id=kind if n == 15 else f"{kind}-{n}")
+        for n in (15, 18)
+        for kind in (KIND_SIMPLE, KIND_NEIGHBORHOOD)
+    ],
+)
+def test_signs_applied_piece_by_piece_equal_one_whole_vector_gather(kind, n):
+    pieces, blocks = (1 << n) // TABLE_PIECE, -(-(1 << n) // qlsat.mixer.BLOCK)
+    assert (pieces, blocks) == ((4, 1) if n == 15 else (32, 2))
     spec = EnsembleSpec(n=n, k=3, m=4 * n, kind="random-soluble", seed=15)
     problem = generate(spec).problem
     policy = resolve_policy(PolicySpec(kind), n, problem.m, problem.k)

@@ -134,9 +134,10 @@ def test_radix_transform_matches_the_butterfly(n):
     assert np.abs(y - expected).max() <= tol
 
 
-@pytest.mark.parametrize("n", range(1, 21))
+@pytest.mark.parametrize("n", range(1, 22))
 def test_transform_has_the_bits_of_the_blocked_passes(n):
-    # one block per pass up to n = 15, blocks of CHUNK entries from n = 16
+    # one block per pass up to n = 15, blocks of CHUNK entries from n = 16;
+    # from n = 18 the low passes run a BLOCK at a time before the high ones
     rng = np.random.default_rng(90 + n)
     x = rng.standard_normal(1 << n)
     want = blocked_fwht(x).tobytes()
@@ -153,9 +154,9 @@ def test_transform_has_the_bits_of_the_blocked_passes(n):
 def test_one_matmul_per_pass_up_to_chunk_entries():
     assert CHUNK == 1 << 15
     for n in range(1, 16):
-        assert all(extents is None for *_, extents in _plan(n))
+        assert all(extents is None for *_, passes in _plan(n) for *_, extents in passes)
     for n in (16, 17, 20):
-        assert all(extents is not None for *_, extents in _plan(n))
+        assert all(extents is not None for *_, passes in _plan(n) for *_, extents in passes)
     assert _plan(16) is _plan(16)
 
 
@@ -222,17 +223,22 @@ def test_tau_rows_are_shared_and_read_only():
             rows[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("n", range(1, 21))
+@pytest.mark.parametrize("n", range(1, 22))
 @pytest.mark.parametrize("inplace", [False, True])
 def test_apply_u_has_the_bits_of_the_whole_table_product(n, inplace):
     # one piece up to n = 13, many pieces above; one transform block up to
-    # n = 15, many above
-    x = np.random.default_rng(70 + n).standard_normal(1 << n)
+    # n = 15, many above; one BLOCK of low passes up to n = 17, many above
+    rng = np.random.default_rng(70 + n)
+    x = rng.standard_normal(1 << n)
     for alpha in sorted({0, n // 2, max(n - 3, 0), n}):
         spec = MixerSpec(n, alpha=alpha)
         want = whole_table_u(spec, x)
         got = apply_u(spec, x.copy(), inplace=inplace)
         assert got.tobytes() == want.tobytes()
+    # a step's signs, gathered piece by piece as each block's sweep reaches it
+    signs, table = np.array([1.0, -1.0, -1.0, 1.0]), rng.integers(0, 4, 1 << n, dtype=np.uint8)
+    got = apply_u(spec, x.copy(), inplace, signs, table)
+    assert got.tobytes() == whole_table_u(spec, signs[table] * x).tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 9, 16])

@@ -152,6 +152,19 @@ def test_strided_tables_equal_the_index_vector_builds(n, k, m):
     np.testing.assert_array_equal(better, index_n_better_vector(problem))
 
 
+@pytest.mark.parametrize(
+    "n,k,m",
+    # bits 0-2 permute the columns of one (-1, 8) view, fewer below n = 3;
+    # the strided passes take the bits above
+    [(0, 0, 0), (0, 0, 1), (1, 1, 2), (2, 1, 3), (2, 2, 4), (3, 2, 7), (3, 3, 8), (14, 3, 56)],
+)
+def test_low_bit_flips_equal_the_index_vector_build(n, k, m):
+    problem = random_problem(n, k, m, seed=40 + n)
+    better = n_better_vector(conflict_vector(problem))
+    assert better.dtype == np.uint8 and better.shape == (1 << n,)
+    np.testing.assert_array_equal(better, index_n_better_vector(problem))
+
+
 @pytest.mark.parametrize("m", [64, max_clauses(16, 3)])
 def test_conflict_table_build_holds_at_most_half_a_state_vector(m):
     n = 16

@@ -71,3 +71,5 @@ qlsat run --engine compact --n 3 --policy neighborhood --histograms
 qlsat run --engine compact --n 5 --c-start 7/2 --histograms
 qlsat run --engine compact --n 1030 --policy neighborhood
 qlsat run --engine compact --n 1031
+qlsat run --ensemble random-soluble --n 19 --m 76 --trials 1 --seed 9 --policy neighborhood \
+    --histograms --format csv

@@ -23,9 +23,10 @@ each layer of the trial on the same instance: ``conflict_vector``,
 first step, timed with ``engine.evolve`` stubbed out), the build of the
 mixing weights of a new ``MixerSpec(N)``, with their cache emptied first as
 for an (N, alpha) not run last (a trial at a new N pays it in its first
-step), one step, split into applying the first
-step's signs and ``apply_u``, and the solution readout taken after every
-step.  Comparing two checkouts with ``--src`` at N = 8-14 shows how much
+step), one step (the first step's sign flip and the mixing, one
+``apply_u`` call that does both, or the flip and then ``apply_u`` on a
+checkout from before they were fused), and the solution readout taken
+after every step.  Comparing two checkouts with ``--src`` at N = 8-14 shows how much
 of a millisecond trial these fixed costs are.
 
 ``--compact`` profiles ``compact_run(N)`` on the shell-space engine
@@ -45,6 +46,7 @@ DIR/src) instead of this one, so two checkouts can be compared.
 from __future__ import annotations
 
 import argparse
+import inspect
 import multiprocessing
 import os
 import resource
@@ -112,11 +114,18 @@ def profile(n: int, src: str, kind: str, clauses: bool) -> None:
     table = policy_table(resolved, conflicts)
     signs = next(sign_tables(resolved, n, problem.m))
     spec, x = MixerSpec(n), engine.init_uniform(n)
-    # checkouts from before apply_signs gathered each step's signs whole
+    # checkouts from before apply_u flipped the signs itself flip them first:
+    # with apply_signs, or before that by gathering each step's signs whole
     apply_signs = getattr(
         engine, "apply_signs", lambda x, signs, table: x.__imul__(signs.astype(np.int8)[table])
     )
+    fused = "table" in inspect.signature(apply_u).parameters
     p_soln_of = engine.solution_readout(conflicts)
+
+    def step():
+        if fused:
+            return apply_u(spec, x, inplace=True, signs=signs, table=table)
+        return apply_u(spec, apply_signs(x, signs, table), inplace=True)
 
     def setup():
         evolve, engine.evolve = engine.evolve, lambda *args, **kwargs: None
@@ -135,8 +144,7 @@ def profile(n: int, src: str, kind: str, clauses: bool) -> None:
             ("n_better_vector", lambda: n_better_vector(conflicts)),
             ("set-up", setup),
             ("weights", lambda: forget_weights() or MixerSpec(n).tau_rows),
-            ("signs", lambda: apply_signs(x, signs, table)),
-            ("apply_u", lambda: apply_u(spec, x, inplace=True)),
+            ("step", step),
             ("readout", lambda: p_soln_of(x)),
         )
     }
@@ -144,8 +152,7 @@ def profile(n: int, src: str, kind: str, clauses: bool) -> None:
         f"{'':<16} layers: conflict_vector {times['conflict_vector']:.3f} ms, "
         f"n_better_vector {times['n_better_vector']:.3f} ms, "
         f"set-up {times['set-up']:.3f} ms, weights {times['weights']:.3f} ms, "
-        f"one step {times['signs'] + times['apply_u']:.3f} ms "
-        f"(signs {times['signs']:.3f}, apply_u {times['apply_u']:.3f}), "
+        f"one step {times['step']:.3f} ms, "
         f"readout {times['readout']:.3f} ms",
         flush=True,
     )
