@@ -107,7 +107,7 @@ def _norm_drift(alpha, dense_limit):
         problem = gen_random(spec).problem
         for kind in POLICY_KINDS:
             result = engine_mod.run_trial(
-                problem, PolicySpec(kind), mixer=MixerSpec(n, alpha), record_histograms=True
+                problem, PolicySpec(kind), alpha=alpha, record_histograms=True
             )
             hists += result.histograms
     comp = compact_mod.compact_run(300, PolicySpec("neighborhood"), record_histograms=True)

@@ -64,7 +64,6 @@ from .generate import (
     instance_metadata,
     instance_seed_sequence,
 )
-from .mixer import MixerSpec
 from .phases import PolicySpec
 from .sat import CapacityError, DEFAULT_FULL_LIMIT, SatProblem
 
@@ -450,7 +449,7 @@ def _run_one(item, args, config, shell_run) -> dict:
             result = engine_mod.run_trial(
                 source,
                 args.policy_spec,
-                mixer=MixerSpec(desc["n"], args.alpha),
+                alpha=args.alpha,
                 j_max=args.j_max,
                 record_histograms=args.histograms,
                 limit=args.full_limit,

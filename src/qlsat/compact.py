@@ -66,7 +66,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .engine import RunResult, evolve
-from .phases import PolicySpec, check_j_max, resolve_policy, sign_blocks
+from .phases import PolicySpec, resolve_policy, sign_blocks
 
 _RESCALE_BITS = 512
 
@@ -215,8 +215,7 @@ def compact_run(
     amplitude.  m defaults to n (the fully constrained case).
     """
     n, m = _shell_counts(n, m)
-    check_j_max(j_max)
-    resolved = resolve_policy(policy, n=n, m=m, k=1)
+    resolved = resolve_policy(policy, n=n, m=m, k=1, j_max=j_max)
     v2 = build_v_scaled(n, m)
     v2 *= 2.0  # 2V, exact, so no step after the first multiplies by two
     # scaled initial state phi_c = sqrt(w_c / 2**n) = sqrt(comb(m,c) / 2**m),
@@ -245,7 +244,7 @@ def compact_run(
     return evolve(
         "compact",
         phi,
-        _sign_sets(sign_blocks(resolved, m, m, j_max), m),
+        _sign_sets(sign_blocks(resolved, m, m), m),
         step,
         lambda phi: float(phi[0] * phi[0]),
         histogram_of=np.square if record_histograms else None,

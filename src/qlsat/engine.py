@@ -30,8 +30,7 @@ from typing import TypeVar
 import numpy as np
 
 from . import mixer as mixer_mod
-from .mixer import MixerSpec
-from .phases import PolicySpec, check_j_max, policy_table, resolve_policy, sign_tables
+from .phases import PolicySpec, policy_table, resolve_policy, sign_tables
 from .sat import DEFAULT_FULL_LIMIT, TABLE_PIECE, SatProblem, check_full_capacity, conflict_vector
 
 _Signs = TypeVar("_Signs")  # what ``evolve`` hands each step, as its engine needs it
@@ -151,22 +150,19 @@ def evolve(
 def run_trial(
     problem: SatProblem,
     policy: PolicySpec,
-    mixer: MixerSpec | None = None,
+    alpha: int | None = None,
     j_max: int | None = None,
     record_histograms: bool = False,
     limit: int | None = DEFAULT_FULL_LIMIT,
 ) -> RunResult:
-    """Evolve an instance for up to min(j_max, policy cap) steps.
+    """Evolve an instance for the steps its resolved policy fixes, min(j_max, cap).
 
     Solutions and conflict counts come from exhaustive evaluation, so
-    this engine is limited to moderate n (see ``limit``).  ``mixer``
-    defaults to ``MixerSpec(problem.n)``.
+    this engine is limited to moderate n (see ``limit``).  The mixer is
+    ``MixerSpec(problem.n, alpha)``; alpha defaults to n // 2.
     """
-    check_j_max(j_max)
-    spec = mixer if mixer is not None else MixerSpec(problem.n)
-    if spec.n != problem.n:
-        raise ValueError(f"mixer is for n={spec.n}, problem has n={problem.n}")
-    resolved = resolve_policy(policy, problem.n, problem.m, problem.k)
+    resolved = resolve_policy(policy, problem.n, problem.m, problem.k, j_max)
+    spec = mixer_mod.MixerSpec(problem.n, alpha)
     conflicts = conflict_vector(problem, limit)
     table = policy_table(resolved, conflicts)
     p_soln_of = solution_readout(conflicts)
@@ -181,7 +177,7 @@ def run_trial(
     return evolve(
         "full",
         init_uniform(problem.n, limit),
-        sign_tables(resolved, problem.n, problem.m, j_max),
+        sign_tables(resolved, problem.n, problem.m),
         lambda x, signs: mixer_mod.apply_u(spec, x, inplace=True, signs=signs, table=table),
         p_soln_of,
         histogram_of=histogram_of,

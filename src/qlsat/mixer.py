@@ -236,11 +236,13 @@ def apply_u(
     exact, so its place in the product does not change the result.  The
     multiply goes a piece at a time, each piece by the row of its high
     bits' weight, so no 2**n weight table is made.  Given ``signs`` and
-    ``table``, it is U @ (signs[table] * x).  ``inplace`` works as in
-    ``fwht``: x itself is transformed and returned when it is a contiguous
-    float64 array, so no second state vector is made; by default x is left
-    as it was.
+    ``table``, which go together, it is U @ (signs[table] * x).  ``inplace``
+    works as in ``fwht``: x itself is transformed and returned when it is a
+    contiguous float64 array, so no second state vector is made; by default
+    x is left as it was.
     """
+    if (signs is None) != (table is None):
+        raise ValueError("signs and table must be given together")
     if len(x) != 1 << spec.n:
         raise ValueError(f"state length {len(x)} does not match n={spec.n}")
     y = _transform(_work_vector(x, inplace), signs, table)

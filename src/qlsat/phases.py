@@ -17,6 +17,9 @@ amplitude before mixing.  Two policies are provided:
   n_start + 1 steps.  Validated against reference dynamics for even n;
   odd n runs the same literal rule.
 
+``resolve_policy`` binds a spec to an instance and fixes the steps a
+trial runs: the policy's cap, cut to a user's j_max when one is given.
+
 Phases are functions of the instance and the step index only, never of
 the evolving amplitudes.  Signs are formed a block of steps at a time, as
 the steps run: the rule is evaluated in int64 on every value a count can
@@ -74,7 +77,7 @@ class PolicySpec:
 
 @dataclass(frozen=True)
 class ResolvedPolicy:
-    """A PolicySpec bound to instance parameters, with the step cap fixed."""
+    """A PolicySpec bound to instance parameters, with the steps to run fixed."""
 
     kind: str
     max_steps: int
@@ -82,19 +85,20 @@ class ResolvedPolicy:
     n_start: int | None = None
 
 
-def resolve_policy(spec: PolicySpec, n: int, m: int, k: int) -> ResolvedPolicy:
-    """Fill in instance-derived defaults and the step cap."""
-    if spec.kind == KIND_SIMPLE:
-        c_start = spec.c_start if spec.c_start is not None else Fraction(m, 1 << k)
-        return ResolvedPolicy(spec.kind, floor(c_start) + 1, c_start=c_start)
-    n_start = spec.n_start if spec.n_start is not None else n // 2
-    return ResolvedPolicy(spec.kind, n_start + 1, n_start=n_start)
-
-
-def check_j_max(j_max: int | None) -> None:
-    """Refuse a negative step limit, before a trial builds anything."""
+def resolve_policy(
+    spec: PolicySpec, n: int, m: int, k: int, j_max: int | None = None
+) -> ResolvedPolicy:
+    """Fill in instance-derived defaults and the steps to run, min(j_max, cap)."""
     if j_max is not None and j_max < 0:
         raise ValueError(f"j_max must be 0 or more, got {j_max}")
+    if spec.kind == KIND_SIMPLE:
+        c_start = spec.c_start if spec.c_start is not None else Fraction(m, 1 << k)
+        n_start, cap = None, floor(c_start) + 1
+    else:
+        n_start = spec.n_start if spec.n_start is not None else n // 2
+        c_start, cap = None, n_start + 1
+    steps = cap if j_max is None else min(j_max, cap)
+    return ResolvedPolicy(spec.kind, steps, c_start=c_start, n_start=n_start)
 
 
 def policy_table(policy: ResolvedPolicy, conflicts: np.ndarray) -> np.ndarray:
@@ -108,10 +112,8 @@ def policy_table(policy: ResolvedPolicy, conflicts: np.ndarray) -> np.ndarray:
     return n_better_vector(conflicts)
 
 
-def sign_blocks(
-    policy: ResolvedPolicy, n: int, m: int, j_max: int | None = None
-) -> Iterator[np.ndarray]:
-    """Yield the sign tables of steps 1..min(j_max, cap), a block of steps at a time.
+def sign_blocks(policy: ResolvedPolicy, n: int, m: int) -> Iterator[np.ndarray]:
+    """Yield the sign tables of steps 1..max_steps, a block of steps at a time.
 
     Row i of a block is the table of one step (see ``sign_tables``), the
     rows of a block are consecutive steps, and a block holds at most
@@ -120,15 +122,18 @@ def sign_blocks(
     block at once.  For integer v the simple threshold v > c_start - (j - 1)
     is the same as v > floor(c_start) - (j - 1).
     """
-    steps = policy.max_steps if j_max is None else min(j_max, policy.max_steps)
+    steps = policy.max_steps
     values = np.arange((m if policy.kind == KIND_SIMPLE else n) + 1, dtype=np.int64)
     block = max(1, TABLE_PIECE // values.size)
+    # a start at or past cut inverts nothing (simple), or everything after step 1
+    # (neighborhood), as the cut does, which keeps the rule in int64; step 1
+    # reads a neighborhood start only mod 4, which the cut keeps
+    cut = values.size + steps
     if policy.kind == KIND_SIMPLE:
-        # a start past values.size + steps inverts nothing at any step, and
-        # neither does that cut, which keeps every threshold in int64
-        top = min(floor(policy.c_start), values.size + steps)
+        top = min(floor(policy.c_start), cut)
     else:
-        d = policy.n_start - values
+        n_start = policy.n_start
+        d = (n_start if n_start < cut else cut + (n_start - cut) % 4) - values
     for lo in range(0, steps, block):
         lag = np.arange(lo, min(lo + block, steps), dtype=np.int64)[:, None]  # j - 1
         if policy.kind == KIND_SIMPLE:
@@ -140,17 +145,15 @@ def sign_blocks(
         yield np.where(invert, -1.0, 1.0)
 
 
-def sign_tables(
-    policy: ResolvedPolicy, n: int, m: int, j_max: int | None = None
-) -> Iterator[np.ndarray]:
-    """Yield, for steps 1..min(j_max, cap), the sign of every count value.
+def sign_tables(policy: ResolvedPolicy, n: int, m: int) -> Iterator[np.ndarray]:
+    """Yield, for steps 1..max_steps, the sign of every count value.
 
     Entry v of step j's table is the sign of an assignment whose count
     (conflicts, 0..m, or better neighbors, 0..n) is v; indexing it by
     ``policy_table`` gives that step's phase vector.  The yielded rows are
     views of the blocks of ``sign_blocks``.
     """
-    for block in sign_blocks(policy, n, m, j_max):
+    for block in sign_blocks(policy, n, m):
         yield from block
 
 
@@ -161,6 +164,6 @@ def phase_schedule(
     limit: int | None = DEFAULT_FULL_LIMIT,
 ) -> list[np.ndarray]:
     """Phase vectors for steps 1..min(j_max, cap) over all 2**n assignments."""
-    policy = resolve_policy(spec, problem.n, problem.m, problem.k)
+    policy = resolve_policy(spec, problem.n, problem.m, problem.k, j_max)
     table = policy_table(policy, conflict_vector(problem, limit))
-    return [signs[table] for signs in sign_tables(policy, problem.n, problem.m, j_max)]
+    return [signs[table] for signs in sign_tables(policy, problem.n, problem.m)]

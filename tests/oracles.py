@@ -8,7 +8,8 @@ transform keeps;
 and better-neighbor tables from a full index vector, one gather per bit;
 the package computes the same by radix-16 matmul passes and strided views.
 ``step_sign_tables`` evaluates the phase rule one step at a time, with the
-simple threshold compared in exact rational arithmetic as v * q > p;
+simple threshold compared in exact rational arithmetic as v * q > p and
+the neighborhood rule in Python integers, so any start is exact;
 ``oracle_schedule`` gathers its tables by the int64 tables for every step
 up front, ``tau_vector`` gives the mixing weight's sign by Hamming weight,
 ``whole_table_u`` mixes with one 2**n table of weights between two
@@ -271,12 +272,12 @@ def plain_compact_run(
 ) -> RunResult:
     """compact_run with phi = V @ (signs * phi) at every step, V the package's."""
     m = n if m is None else m
-    resolved = resolve_policy(policy, n=n, m=m, k=1)
+    resolved = resolve_policy(policy, n=n, m=m, k=1, j_max=j_max)
     v = qlsat.compact.build_v_scaled(n, m)
     return evolve(
         "compact",
         np.ldexp(*qlsat.compact._start_vector(m)),
-        sign_tables(resolved, n, m, j_max),
+        sign_tables(resolved, n, m),
         lambda phi, signs: v @ (phi * signs[: m + 1]),
         lambda phi: float(phi[0] * phi[0]),
         histogram_of=np.square if record_histograms else None,
@@ -387,21 +388,18 @@ def index_n_better_vector(
     return better
 
 
-def step_sign_tables(
-    policy: ResolvedPolicy, n: int, m: int, j_max: int | None = None
-) -> list[np.ndarray]:
-    """Sign of every count value for steps 1..min(j_max, cap), step by step."""
-    steps = policy.max_steps if j_max is None else min(j_max, policy.max_steps)
+def step_sign_tables(policy: ResolvedPolicy, n: int, m: int) -> list[np.ndarray]:
+    """Sign of every count value for steps 1..max_steps, step by step."""
     values = np.arange((m if policy.kind == KIND_SIMPLE else n) + 1, dtype=np.int64)
     tables = []
-    for j in range(1, steps + 1):
+    for j in range(1, policy.max_steps + 1):
         if policy.kind == KIND_SIMPLE:
             t = policy.c_start - (j - 1)
             invert = values * t.denominator > t.numerator
         elif j == 1:
-            invert = np.abs(policy.n_start - values) % 4 >= 2
+            invert = np.abs(policy.n_start - values.astype(object)) % 4 >= 2
         else:
-            d = policy.n_start - values
+            d = policy.n_start - values.astype(object)
             invert = (d != j - 1) & (d != j - 2)
         tables.append(np.where(invert, -1.0, 1.0))
     return tables

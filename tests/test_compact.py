@@ -249,6 +249,18 @@ def test_a_negative_j_max_is_refused_before_the_shell_matrix(kind, monkeypatch):
         compact_run(10, PolicySpec(kind), j_max=-1)
 
 
+def test_a_neighborhood_start_past_int64_runs_as_its_cut():
+    # two steps at n = 6 read a start from the cut, 9, on only mod 4: 2**63 runs as 12
+    n, cut = 6, 6 + 1 + 2
+    start = cut + (2**63 - cut) % 4
+    want = compact_run(n, PolicySpec(KIND_NEIGHBORHOOD, n_start=start), j_max=2,
+                       record_histograms=True)
+    got = compact_run(n, PolicySpec(KIND_NEIGHBORHOOD, n_start=2**63), j_max=2,
+                      record_histograms=True)
+    assert (got.p_soln_by_step, got.best_j) == (want.p_soln_by_step, want.best_j)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got.histograms, want.histograms))
+
+
 def test_simple_policy_cap_scales_with_constraint_count():
     # c_start = m/2 for 1-SAT shells, so the cap is m//2 + 1 steps
     for n, m in [(12, 12), (12, 7)]:

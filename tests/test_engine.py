@@ -170,11 +170,6 @@ def test_histogram_recording_through_run():
     np.testing.assert_allclose(result.histograms[1], [1.0, 0.0, 0.0], atol=1e-12)
 
 
-def test_mixer_size_mismatch_rejected():
-    with pytest.raises(ValueError):
-        run_trial(two_negated_units(), PolicySpec(KIND_SIMPLE), mixer=MixerSpec(3))
-
-
 def test_trials_without_a_mixer_build_the_mixing_weights_once_per_n(monkeypatch):
     built = []  # (n, weak reference to the rows) per build of the weights
     held = []  # the n of each earlier build's rows still alive at a build
@@ -212,6 +207,36 @@ def test_j_max_truncates_and_cap_applies():
     assert short.steps == 2
     assert short.p_soln_by_step == full.p_soln_by_step[:3]
     assert run_trial(problem, PolicySpec(KIND_SIMPLE), j_max=99).steps == 4
+
+
+def test_alpha_sets_the_mixer_at_the_problem_size():
+    n = 8
+    problem = generate(EnsembleSpec(n=n, k=3, m=4 * n, kind="random-soluble", seed=8)).problem
+    conflicts = conflict_vector(problem)
+    policy = resolve_policy(PolicySpec(KIND_SIMPLE), n, problem.m, problem.k)
+    for alpha in (0, 2, n):
+        mixer = MixerSpec(n, alpha)
+        want = evolve(
+            "full",
+            init_uniform(n),
+            sign_tables(policy, n, problem.m),
+            lambda x, signs: apply_u(mixer, x * signs[conflicts]),
+            solution_readout(conflicts),
+        )
+        got = run_trial(problem, PolicySpec(KIND_SIMPLE), alpha=alpha)
+        assert got.p_soln_by_step == want.p_soln_by_step
+    with pytest.raises(ValueError, match="need 0 <= alpha <= n, got alpha=9"):
+        run_trial(problem, PolicySpec(KIND_SIMPLE), alpha=n + 1)
+
+
+def test_a_neighborhood_start_past_int64_runs_as_its_cut():
+    # two steps at n = 6 read a start from the cut, 9, on only mod 4: 2**63 runs as 12
+    problem = generate(EnsembleSpec(n=6, k=3, m=24, kind="random", seed=9)).problem
+    cut = problem.n + 1 + 2
+    start = cut + (2**63 - cut) % 4
+    want = run_trial(problem, PolicySpec(KIND_NEIGHBORHOOD, n_start=start), j_max=2)
+    got = run_trial(problem, PolicySpec(KIND_NEIGHBORHOOD, n_start=2**63), j_max=2)
+    assert (got.p_soln_by_step, got.best_j) == (want.p_soln_by_step, want.best_j)
 
 
 def test_a_negative_j_max_is_refused_before_the_conflict_table(monkeypatch):
@@ -332,14 +357,14 @@ def test_run_trial_peak_is_at_most_2_5_state_vectors(case, kind):
 def test_run_trial_peak_at_n_20_is_the_state_and_one_count_table(kind):
     n = 20
     problem = generate(EnsembleSpec(n=n, k=3, m=4 * n, kind="random", seed=20)).problem
-    spec = MixerSpec(n)
-    run_trial(problem, PolicySpec(kind), mixer=spec)  # warm-up: lazily built shared tables
-    # the mixing weights are rows of one piece, not a 2**n table
-    assert spec.tau_rows.nbytes <= (n - 12) * (64 << 10)
+    run_trial(problem, PolicySpec(kind))  # warm-up: lazily built shared tables
+    # the mixing weights, shared by every spec of this n, are rows of one
+    # piece, not a 2**n table
+    assert MixerSpec(n).tau_rows.nbytes <= (n - 12) * (64 << 10)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        run_trial(problem, PolicySpec(kind), mixer=spec)
+        run_trial(problem, PolicySpec(kind))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

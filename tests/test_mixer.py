@@ -291,6 +291,15 @@ def test_apply_u_rejects_wrong_length():
 
 
 @pytest.mark.parametrize(
+    "given", [{"signs": np.array([1.0, -1.0])}, {"table": np.zeros(8, dtype=np.uint8)}],
+    ids=["signs-only", "table-only"],
+)
+def test_apply_u_refuses_signs_or_table_alone(given):
+    with pytest.raises(ValueError, match="signs and table must be given together"):
+        apply_u(MixerSpec(3), np.ones(8), **given)
+
+
+@pytest.mark.parametrize(
     "transform,x,message",
     [
         (fwht, np.ones(3), "length must be a power of two, got 3"),

@@ -134,15 +134,23 @@ def test_resolve_policy_overrides_and_cap_check():
     assert nbr.max_steps == 4
 
 
+def test_resolve_policy_cuts_the_cap_to_j_max():
+    for spec, cap in ((PolicySpec(KIND_SIMPLE), 6), (PolicySpec(KIND_NEIGHBORHOOD), 6)):
+        steps = [resolve_policy(spec, 10, 40, 3, j_max).max_steps for j_max in (None, 0, 2, 6, 99)]
+        assert steps == [cap, 0, 2, cap, cap]
+        with pytest.raises(ValueError, match="j_max must be 0 or more, got -1"):
+            resolve_policy(spec, 10, 40, 3, j_max=-1)
+
+
 def test_sign_tables_span_the_count_range_of_the_policy():
     # simple-threshold signs are indexed by conflicts (0..m), neighborhood
-    # signs by better neighbors (0..n); j_max truncates the cap
+    # signs by better neighbors (0..n); j_max truncates the cap of 3 steps
     simple = ResolvedPolicy(KIND_SIMPLE, 3, c_start=Fraction(2))
-    nbr = ResolvedPolicy(KIND_NEIGHBORHOOD, 3, n_start=2)
+    nbr = resolve_policy(PolicySpec(KIND_NEIGHBORHOOD, n_start=2), n=3, m=5, k=3, j_max=2)
     tables = list(sign_tables(simple, n=3, m=5))
     assert [len(t) for t in tables] == [6, 6, 6]
     np.testing.assert_array_equal(tables[0], [1, 1, 1, -1, -1, -1])
-    tables = list(sign_tables(nbr, n=3, m=5, j_max=2))
+    tables = list(sign_tables(nbr, n=3, m=5))
     assert [len(t) for t in tables] == [4, 4]
     # step 2 keeps n_start - v in {1, 0}, so v in {1, 2}
     np.testing.assert_array_equal(tables[1], [-1, 1, 1, -1])
@@ -171,6 +179,11 @@ SIMPLE, NEIGHBORHOOD = PolicySpec(KIND_SIMPLE), PolicySpec(KIND_NEIGHBORHOOD)
             PolicySpec(KIND_SIMPLE, c_start=Fraction(10**30 + 1, 3)), 10, 40, 3, 5,
             id="c_start-past-int64",
         ),
+        # n_start is past int64 too; step 1 reads its residue mod 4 (2**63 + 1 is 1)
+        pytest.param(
+            PolicySpec(KIND_NEIGHBORHOOD, n_start=2**63 + 1), 10, 40, 3, 5,
+            id="n_start-past-int64",
+        ),
         pytest.param(
             PolicySpec(KIND_NEIGHBORHOOD, n_start=3), 10, 40, 3, None, id="n_start-3"
         ),
@@ -183,9 +196,9 @@ SIMPLE, NEIGHBORHOOD = PolicySpec(KIND_SIMPLE), PolicySpec(KIND_NEIGHBORHOOD)
     ],
 )
 def test_block_sign_tables_equal_the_step_by_step_rule(spec, n, m, k, j_max):
-    policy = resolve_policy(spec, n=n, m=m, k=k)
-    got = list(sign_tables(policy, n, m, j_max))
-    want = step_sign_tables(policy, n, m, j_max)
+    policy = resolve_policy(spec, n=n, m=m, k=k, j_max=j_max)
+    got = list(sign_tables(policy, n, m))
+    want = step_sign_tables(policy, n, m)
     assert len(got) == len(want)
     for step, (a, b) in enumerate(zip(got, want), start=1):
         assert a.dtype == np.float64, step

@@ -24,9 +24,8 @@ first step, timed with ``engine.evolve`` stubbed out), the build of the
 mixing weights of a new ``MixerSpec(N)``, with their cache emptied first as
 for an (N, alpha) not run last (a trial at a new N pays it in its first
 step), one step (the first step's sign flip and the mixing, one
-``apply_u`` call that does both, or the flip and then ``apply_u`` on a
-checkout from before they were fused), and the solution readout taken
-after every step.  Comparing two checkouts with ``--src`` at N = 8-14 shows how much
+``apply_u`` call that does both), and the solution readout taken after
+every step.  Comparing two checkouts with ``--src`` at N = 8-14 shows how much
 of a millisecond trial these fixed costs are.
 
 ``--compact`` profiles ``compact_run(N)`` on the shell-space engine
@@ -46,7 +45,6 @@ DIR/src) instead of this one, so two checkouts can be compared.
 from __future__ import annotations
 
 import argparse
-import inspect
 import multiprocessing
 import os
 import resource
@@ -66,8 +64,6 @@ COMPACT_REPEATS = 25  # compact layers take milliseconds, so take more samples
 
 def profile(n: int, src: str, kind: str, clauses: bool) -> None:
     sys.path.insert(0, str(Path(src).resolve() / "src"))
-    import numpy as np
-
     from qlsat import EnsembleSpec, PolicySpec, SatProblem, generate, run_trial
     from qlsat import engine, mixer
     from qlsat.mixer import MixerSpec, apply_u
@@ -114,18 +110,10 @@ def profile(n: int, src: str, kind: str, clauses: bool) -> None:
     table = policy_table(resolved, conflicts)
     signs = next(sign_tables(resolved, n, problem.m))
     spec, x = MixerSpec(n), engine.init_uniform(n)
-    # checkouts from before apply_u flipped the signs itself flip them first:
-    # with apply_signs, or before that by gathering each step's signs whole
-    apply_signs = getattr(
-        engine, "apply_signs", lambda x, signs, table: x.__imul__(signs.astype(np.int8)[table])
-    )
-    fused = "table" in inspect.signature(apply_u).parameters
     p_soln_of = engine.solution_readout(conflicts)
 
     def step():
-        if fused:
-            return apply_u(spec, x, inplace=True, signs=signs, table=table)
-        return apply_u(spec, apply_signs(x, signs, table), inplace=True)
+        return apply_u(spec, x, inplace=True, signs=signs, table=table)
 
     def setup():
         evolve, engine.evolve = engine.evolve, lambda *args, **kwargs: None
@@ -134,16 +122,13 @@ def profile(n: int, src: str, kind: str, clauses: bool) -> None:
         finally:
             engine.evolve = evolve
 
-    # checkouts from before the weights were cached by (n, alpha) have no cache to empty
-    forget_weights = getattr(mixer, "_TAU_ROWS", {}).clear
-
     times = {
         name: median_ms(call)
         for name, call in (
             ("conflict_vector", lambda: conflict_vector(problem)),
             ("n_better_vector", lambda: n_better_vector(conflicts)),
             ("set-up", setup),
-            ("weights", lambda: forget_weights() or MixerSpec(n).tau_rows),
+            ("weights", lambda: mixer._TAU_ROWS.clear() or MixerSpec(n).tau_rows),
             ("step", step),
             ("readout", lambda: p_soln_of(x)),
         )
@@ -188,14 +173,12 @@ def profile_compact(n: int, src: str, kind: str) -> None:
         finally:
             compact.build_v_scaled = build
 
-    # checkouts from before the start vector was cached have no cache to empty
-    start_vector = getattr(compact._start_vector, "__wrapped__", compact._start_vector)
-    forget = getattr(compact._start_vector, "cache_clear", lambda: None)
+    forget = compact._start_vector.cache_clear
 
     times = {
         name: median_ms(call, COMPACT_REPEATS)
         for name, call in (
-            ("start vector", lambda: start_vector(n)),
+            ("start vector", lambda: compact._start_vector.__wrapped__(n)),
             ("shell transform", lambda: forget() or compact._scaled_shell_transform(n)),
             ("V product", v_product),
             ("sign tables", lambda: sum(1 for _ in sign_tables(resolved, n, n))),
