@@ -16,8 +16,11 @@ Clauses are addressed by integer index into the (lexicographic) clause
 universe and unranked on demand, so no universe is ever materialized.
 Unranking walks the combinatorial number system: one bisect per variable
 of the clause into cached columns of binomials gives its mask and value
-bits together.  Sampling uses numpy's PCG64 generator; per-attempt and
-per-instance sub-streams come from ``SeedSequence(seed, spawn_key=(i,))``.
+bits together.  One unranker and one draw serve ``random`` and
+``prespecified-solution`` alike: given a planted assignment, each mask
+has 2**k - 1 patterns, as the one the assignment falsifies is skipped.
+Sampling uses numpy's PCG64 generator; per-attempt and per-instance
+sub-streams come from ``SeedSequence(seed, spawn_key=(i,))``.
 Floyd's algorithm draws all m of an instance's bounds in one call, the
 same stream as one scalar draw per bound.  A ``random-soluble`` spec
 whose rejection budget expects under 1e-3 soluble draws is refused
@@ -126,24 +129,18 @@ def _unrank(n: int, k: int, rank: int, packed: int) -> tuple[int, int]:
     return mask, value
 
 
-def unrank_clause(n: int, k: int, index: int) -> ConflictPattern:
-    """The index-th clause of the universe, ordered (mask rank, value bits)."""
-    return ConflictPattern(*_unrank(n, k, index >> k, index & ((1 << k) - 1)))
+def unrank_clause(n: int, k: int, index: int, planted: int | None = None) -> ConflictPattern:
+    """The index-th clause of the universe, ordered (mask rank, value bits).
 
-
-def unrank_nonconflicting_clause(
-    n: int, k: int, index: int, planted: int
-) -> ConflictPattern:
-    """The index-th clause among those not falsified by ``planted``.
-
-    Per mask there are 2**k - 1 admissible falsifying patterns; the one
-    matching the planted assignment on the mask is skipped.  Spreading
-    keeps order, so the patterns from the planted one up move to their
-    successor submask, ``(value - mask) & mask``.
+    With ``planted``, the index-th clause among those it does not falsify:
+    per mask there are 2**k - 1 of them, as the pattern matching the
+    planted assignment on the mask is skipped.  Spreading keeps order, so
+    the patterns from the planted one up move to their successor submask,
+    ``(value - mask) & mask``.
     """
-    per_mask = (1 << k) - 1
+    per_mask = 1 << k if planted is None else (1 << k) - 1
     mask, value = _unrank(n, k, index // per_mask, index % per_mask)
-    if value >= planted & mask:
+    if planted is not None and value >= planted & mask:
         value = (value - mask) & mask
     return ConflictPattern(mask, value)
 
@@ -186,21 +183,16 @@ def draw_planted(spec: EnsembleSpec) -> int:
     return _draw_planted(spec, _rng_for(spec.seed))
 
 
+def _draw(spec: EnsembleSpec, rng: np.random.Generator, planted: int | None) -> SatProblem:
+    """m distinct clauses of the universe, or of those ``planted`` does not falsify."""
+    n, k = spec.n, spec.k
+    universe = clause_universe_size(n, k) if planted is None else max_clauses(n, k)
+    indices = _sample_distinct(rng, universe, spec.m)
+    return SatProblem(n, k, tuple(unrank_clause(n, k, i, planted) for i in indices))
+
+
 def gen_random(spec: EnsembleSpec, attempt: int | None = None) -> GeneratedInstance:
-    rng = _rng_for(spec.seed, attempt)
-    indices = _sample_distinct(rng, clause_universe_size(spec.n, spec.k), spec.m)
-    clauses = tuple(unrank_clause(spec.n, spec.k, i) for i in indices)
-    return GeneratedInstance(SatProblem(spec.n, spec.k, clauses), spec)
-
-
-def gen_prespecified(spec: EnsembleSpec) -> GeneratedInstance:
-    rng = _rng_for(spec.seed)
-    planted = _draw_planted(spec, rng)
-    indices = _sample_distinct(rng, max_clauses(spec.n, spec.k), spec.m)
-    clauses = tuple(
-        unrank_nonconflicting_clause(spec.n, spec.k, i, planted) for i in indices
-    )
-    return GeneratedInstance(SatProblem(spec.n, spec.k, clauses), spec, planted=planted)
+    return GeneratedInstance(_draw(spec, _rng_for(spec.seed, attempt), None), spec)
 
 
 def gen_max_constrained_1sat(spec: EnsembleSpec) -> GeneratedInstance:
@@ -234,14 +226,14 @@ def soluble_bound(n: int, k: int, m: int) -> tuple[int, int]:
     return comb(universe - comb(n, k), m) << n, comb(universe, m)
 
 
-def gen_random_soluble(
-    spec: EnsembleSpec, budget: int = DEFAULT_REJECTION_BUDGET
-) -> GeneratedInstance:
+def gen_random_soluble(spec: EnsembleSpec) -> GeneratedInstance:
     """First soluble ``random`` draw, trying sub-seeded attempts in order.
 
-    A spec whose budget times ``soluble_bound`` is below 1e-3 is refused
-    before the first attempt, in exact integers.
+    The attempts are capped at ``DEFAULT_REJECTION_BUDGET``, read when
+    called.  A spec whose budget times ``soluble_bound`` is below 1e-3 is
+    refused before the first attempt, in exact integers.
     """
+    budget = DEFAULT_REJECTION_BUDGET
     num, den = soluble_bound(spec.n, spec.k, spec.m)
     if budget * num * 1000 < den:
         raise HopelessSpecError(
@@ -264,9 +256,11 @@ def generate(spec: EnsembleSpec) -> GeneratedInstance:
         return gen_random(spec)
     if spec.kind == "random-soluble":
         return gen_random_soluble(spec)
-    if spec.kind == "prespecified-solution":
-        return gen_prespecified(spec)
-    return gen_max_constrained_1sat(spec)
+    if spec.kind == "max-constrained-1sat":
+        return gen_max_constrained_1sat(spec)
+    rng = _rng_for(spec.seed)
+    planted = _draw_planted(spec, rng)
+    return GeneratedInstance(_draw(spec, rng, planted), spec, planted=planted)
 
 
 def instance_seed_sequence(base_seed: int, index: int) -> int:

@@ -19,6 +19,7 @@ amplitude before mixing.  Two policies are provided:
 
 ``resolve_policy`` binds a spec to an instance and fixes the steps a
 trial runs: the policy's cap, cut to a user's j_max when one is given.
+A trial of more than 2**63 steps is refused there.
 
 Phases are functions of the instance and the step index only, never of
 the evolving amplitudes.  Signs are formed a block of steps at a time, as
@@ -98,6 +99,8 @@ def resolve_policy(
         n_start = spec.n_start if spec.n_start is not None else n // 2
         c_start, cap = None, n_start + 1
     steps = cap if j_max is None else min(j_max, cap)
+    if steps > 1 << 63:  # the sign rule counts steps j - 1 in int64
+        raise ValueError(f"{steps} steps exceed the 2**63 the sign rule counts (j_max={j_max})")
     return ResolvedPolicy(spec.kind, steps, c_start=c_start, n_start=n_start)
 
 

@@ -311,6 +311,25 @@ def test_run_compact_engine_draws_only_the_planted_value(capsys, monkeypatch):
     assert record["instance"]["planted"] == generate(spec).planted
 
 
+@pytest.mark.parametrize("engine", [["--engine", "compact"], ["--ensemble", "random", "--m", "10"]])
+@pytest.mark.parametrize(
+    "start", [["--policy", "neighborhood", "--n-start"], ["--c-start"]], ids=["n-start", "c-start"]
+)
+def test_a_step_cap_past_2_63_gives_each_trial_a_value_error(capsys, engine, start):
+    # a start of 10**20 - 1 used to give OverflowError records; with a j_max it runs
+    argv = ["run", "--n", "6", "--trials", "2", *engine, *start, "99999999999999999999"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    records = jsonl(out)
+    assert [r["error"] for r in records] == [
+        "ValueError: 100000000000000000000 steps exceed the 2**63 the sign rule counts "
+        "(j_max=None)"
+    ] * 2
+    code, out, _ = run_cli(capsys, *argv, "--j-max", "2")
+    assert code == 0
+    assert [r["result"]["steps"] for r in jsonl(out)] == [2, 2]
+
+
 def test_run_keeps_going_past_a_failed_inline_draw(capsys, monkeypatch):
     bad_seed = instance_seed_sequence(5, 1)
     real = qlsat.cli.generate_instance

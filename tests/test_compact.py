@@ -249,6 +249,19 @@ def test_a_negative_j_max_is_refused_before_the_shell_matrix(kind, monkeypatch):
         compact_run(10, PolicySpec(kind), j_max=-1)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [PolicySpec(KIND_SIMPLE, c_start=2**63), PolicySpec(KIND_NEIGHBORHOOD, n_start=2**63)],
+)
+def test_more_than_2_63_steps_are_refused_before_the_shell_matrix(spec, monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("the shell matrix was built")
+
+    monkeypatch.setattr(qlsat.compact, "build_v_scaled", no_matrix)
+    with pytest.raises(ValueError, match=r"^9223372036854775809 steps exceed"):
+        compact_run(6, spec)
+
+
 def test_a_neighborhood_start_past_int64_runs_as_its_cut():
     # two steps at n = 6 read a start from the cut, 9, on only mod 4: 2**63 runs as 12
     n, cut = 6, 6 + 1 + 2

@@ -251,6 +251,21 @@ def test_a_negative_j_max_is_refused_before_the_conflict_table(monkeypatch):
             run_trial(problem, PolicySpec(kind), j_max=-1)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [PolicySpec(KIND_SIMPLE, c_start=2**63), PolicySpec(KIND_NEIGHBORHOOD, n_start=2**63)],
+)
+def test_more_than_2_63_steps_are_refused_before_the_conflict_table(spec, monkeypatch):
+    problem = generate(EnsembleSpec(n=6, k=3, m=24, kind="random", seed=9)).problem
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the conflict table was built")
+
+    monkeypatch.setattr(qlsat.engine, "conflict_vector", no_table)
+    with pytest.raises(ValueError, match=r"^9223372036854775809 steps exceed"):
+        run_trial(problem, spec)
+
+
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         init_uniform(30)

@@ -17,8 +17,8 @@ from qlsat.generate import (
     backtrack_count,
     backtrack_solve,
     clause_universe_size,
+    draw_planted,
     gen_max_constrained_1sat,
-    gen_prespecified,
     gen_random,
     gen_random_soluble,
     generate,
@@ -27,7 +27,6 @@ from qlsat.generate import (
     max_clauses,
     soluble_bound,
     unrank_clause,
-    unrank_nonconflicting_clause,
 )
 from qlsat.sat import ConflictPattern, SatProblem
 
@@ -80,7 +79,7 @@ def test_unrank_nonconflicting_skips_exactly_the_planted_pattern(planted):
     assert size == comb(n, k) * (2**k - 1)
     clauses = set()
     for i in range(size):
-        c = unrank_nonconflicting_clause(n, k, i, planted)
+        c = unrank_clause(n, k, i, planted)
         assert not conflicts_with(c, planted)
         clauses.add(c)
     assert len(clauses) == size
@@ -107,7 +106,7 @@ def test_generated_instances_are_distinct_uniform_width(kind):
 @pytest.mark.parametrize("seed", range(4))
 def test_prespecified_solution_satisfies_instance(seed):
     spec = EnsembleSpec(n=10, k=3, m=60, kind="prespecified-solution", seed=seed)
-    inst = gen_prespecified(spec)
+    inst = generate(spec)
     assert inst.planted is not None
     assert count_conflicts(inst.problem, inst.planted) == 0
 
@@ -135,7 +134,7 @@ def test_wide_planted_draws(n):
 
 
 def test_wide_prespecified_solution_satisfies_instance():
-    inst = gen_prespecified(EnsembleSpec(n=80, k=3, m=320, kind="prespecified-solution", seed=4))
+    inst = generate(EnsembleSpec(n=80, k=3, m=320, kind="prespecified-solution", seed=4))
     assert 0 <= inst.planted < 1 << 80
     assert count_conflicts(inst.problem, inst.planted) == 0
 
@@ -153,18 +152,21 @@ def test_narrow_planted_draws_are_unchanged():
     ]
 
 
-def test_random_soluble_delivers_a_solution_and_respects_budget():
+def test_random_soluble_delivers_a_solution_and_respects_budget(monkeypatch):
     spec = EnsembleSpec(n=9, k=3, m=36, kind="random-soluble", seed=11)
     inst = gen_random_soluble(spec)
     witness = backtrack_solve(inst.problem)
     assert witness is not None and count_conflicts(inst.problem, witness) == 0
     assert DEFAULT_REJECTION_BUDGET == 10_000
+    # the budget is read when a draw starts
+    monkeypatch.setattr(generate_mod, "DEFAULT_REJECTION_BUDGET", 0)
     with pytest.raises(HopelessSpecError):  # refused before its first attempt
-        gen_random_soluble(spec, budget=0)
+        gen_random_soluble(spec)
     # a spec that is not hopeless, but whose one attempt is insoluble
+    monkeypatch.setattr(generate_mod, "DEFAULT_REJECTION_BUDGET", 1)
     spec = EnsembleSpec(n=5, k=3, m=40, kind="random-soluble", seed=0)
     with pytest.raises(RuntimeError, match="no soluble instance within 1 attempts") as info:
-        gen_random_soluble(spec, budget=1)
+        gen_random_soluble(spec)
     assert type(info.value) is RuntimeError
 
 
@@ -172,7 +174,7 @@ def test_fully_constrained_prespecified_collapses_to_the_unit_clause_family():
     # With every admissible clause present, the two generation routes must
     # describe the same instance for each planted assignment.
     for planted in range(4):
-        full = gen_prespecified(
+        full = generate(
             EnsembleSpec(n=2, k=1, m=2, kind="prespecified-solution", seed=1, planted=planted)
         )
         direct = gen_max_constrained_1sat(
@@ -183,7 +185,7 @@ def test_fully_constrained_prespecified_collapses_to_the_unit_clause_family():
 
 def test_fully_constrained_two_sat_has_a_unique_solution():
     m = max_clauses(6, 2)
-    inst = gen_prespecified(
+    inst = generate(
         EnsembleSpec(n=6, k=2, m=m, kind="prespecified-solution", seed=2, planted=0b010110)
     )
     assert inst.problem.m == m == 45
@@ -214,7 +216,7 @@ def test_seed_sequence_split_is_deterministic():
 
 def test_metadata_sidecar_fields():
     spec = EnsembleSpec(n=6, k=2, m=9, kind="prespecified-solution", seed=4)
-    meta = instance_metadata(gen_prespecified(spec))
+    meta = instance_metadata(generate(spec))
     assert meta["n"] == 6 and meta["k"] == 2 and meta["m"] == 9
     assert meta["kind"] == "prespecified-solution"
     assert meta["generator"] == GENERATOR_NAME == "numpy-pcg64"
@@ -279,6 +281,59 @@ def test_unrank_subset_matches_the_item_by_item_reference_exhaustively():
                 for packed in {0, (1 << k) - 1, rank % (1 << k)}:
                     clause = unrank_clause(n, k, (rank << k) | packed)
                     assert clause == ConflictPattern(mask, spread_bits(packed, mask))
+
+
+def reference_clauses(n: int, k: int) -> list[ConflictPattern]:
+    """The clause universe in index order, from the item-by-item subset reference."""
+    masks = [unrank_subset_by_items(n, k, rank) for rank in range(comb(n, k))]
+    return [ConflictPattern(mask, spread_bits(p, mask)) for mask in masks for p in range(1 << k)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_unrank_clause_is_an_ordered_bijection_in_both_modes(n):
+    # plain: every index of the universe, in order; planted: the same order
+    # with the clauses the planted assignment falsifies taken out
+    for k in range(1, n + 1):
+        want = reference_clauses(n, k)
+        size = clause_universe_size(n, k)
+        assert [unrank_clause(n, k, i) for i in range(size)] == want
+        for planted in range(1 << n):
+            admissible = [c for c in want if not conflicts_with(c, planted)]
+            assert [unrank_clause(n, k, i, planted) for i in range(max_clauses(n, k))] == admissible
+        for index, planted in ((-1, None), (size, None), (-1, 0), (max_clauses(n, k), 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                unrank_clause(n, k, index, planted)
+
+
+@pytest.mark.parametrize("n", range(66, 71))
+def test_unrank_clause_matches_the_reference_past_64_bits(n):
+    planted = (1 << n) // 3  # every other variable set
+    for k in (1, 2, 3, 5):
+        total = comb(n, k)
+        assert unrank_subset_by_items(n, k, total - 1).bit_length() == n  # the top items
+        for rank in (0, 1, total // 3, total - 1):
+            mask = unrank_subset_by_items(n, k, rank)
+            for packed in {0, (1 << k) - 1, rank % (1 << k)}:
+                got = unrank_clause(n, k, (rank << k) | packed)
+                assert got == ConflictPattern(mask, spread_bits(packed, mask))
+            admissible = [spread_bits(p, mask) for p in range(1 << k)]
+            admissible.remove(planted & mask)
+            per_mask = (1 << k) - 1
+            for r in {0, per_mask - 1, rank % per_mask}:
+                got = unrank_clause(n, k, rank * per_mask + r, planted)
+                assert got == ConflictPattern(mask, admissible[r])
+
+
+@pytest.mark.parametrize("kind", ["prespecified-solution", "max-constrained-1sat"])
+@pytest.mark.parametrize("n", [6, 63, 64, 70, 200])
+def test_draw_planted_is_the_planted_value_of_the_instance(kind, n):
+    # the compact engine's records carry draw_planted, never a generated instance
+    k, m = (1, n) if kind == "max-constrained-1sat" else (3, 12)
+    for seed in range(3):
+        spec = EnsembleSpec(n=n, k=k, m=m, kind=kind, seed=seed)
+        assert draw_planted(spec) == generate(spec).planted
+    fixed = EnsembleSpec(n=n, k=k, m=m, kind=kind, seed=0, planted=(1 << n) - 2)
+    assert draw_planted(fixed) == generate(fixed).planted == (1 << n) - 2
 
 
 @pytest.mark.parametrize("n,k", [(200, 3), (70, 35)])

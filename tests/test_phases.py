@@ -21,6 +21,7 @@ from qlsat.phases import (
     ResolvedPolicy,
     phase_schedule,
     resolve_policy,
+    sign_blocks,
     sign_tables,
 )
 from qlsat.sat import (
@@ -140,6 +141,31 @@ def test_resolve_policy_cuts_the_cap_to_j_max():
         assert steps == [cap, 0, 2, cap, cap]
         with pytest.raises(ValueError, match="j_max must be 0 or more, got -1"):
             resolve_policy(spec, 10, 40, 3, j_max=-1)
+
+
+@pytest.mark.parametrize(
+    "kind, start",
+    [(KIND_SIMPLE, {"c_start": Fraction(2**63 - 1)}), (KIND_NEIGHBORHOOD, {"n_start": 2**63 - 1})],
+)
+def test_resolve_policy_refuses_more_than_2_63_steps(kind, start):
+    # a start of 2**63 - 1 is a cap of 2**63 steps, whose lags j - 1 fit int64
+    n, m, k = 6, 10, 3
+    policy = resolve_policy(PolicySpec(kind, **start), n, m, k)
+    assert policy.max_steps == 2**63
+    block = next(sign_blocks(policy, n, m))
+    values = np.arange(block.shape[1])
+    if kind == KIND_SIMPLE:  # no count reaches the threshold
+        assert (block == 1).all()
+    else:  # step 1 reads the start mod 4, and no later step keeps a +1
+        np.testing.assert_array_equal(block[0], np.where((2**63 - 1 - values) % 4 >= 2, -1, 1))
+        assert (block[1:] == -1).all()
+    for big in (2**63, 99999999999999999999):
+        past = PolicySpec(kind, **{name: big for name in start})
+        with pytest.raises(ValueError, match=rf"^{big + 1} steps exceed .*\(j_max=None\)"):
+            resolve_policy(past, n, m, k)
+        assert resolve_policy(past, n, m, k, j_max=2**63).max_steps == 2**63
+        with pytest.raises(ValueError, match=rf"^{big + 1} steps exceed .*\(j_max={big + 1}\)"):
+            resolve_policy(past, n, m, k, j_max=big + 1)
 
 
 def test_sign_tables_span_the_count_range_of_the_policy():

@@ -115,3 +115,11 @@ qlsat run --engine compact --n 1031
 # blocks of the low passes, and a 3-bit pass is left in the high group
 qlsat run --ensemble random-soluble --n 19 --m 76 --trials 1 --seed 9 --policy neighborhood \
     --histograms --format csv
+# 35: a fixed planted value at k = 2, so the planted skip is gated apart
+# from the planted draw
+qlsat generate --out-dir pin --ensemble prespecified-solution --n 9 --k 2 --m 20 --planted 300 \
+    --trials 2 --seed 8
+# 36: a draw of the whole clause universe (m = 16 of n = 8, k = 1)
+qlsat run --ensemble random --n 8 --k 1 --m 16 --trials 2 --seed 5 --histograms
+# 37: random clause masks past 64 bits
+qlsat generate --out-dir wide2 --ensemble random --n 66 --k 2 --m 50 --trials 2 --seed 3
