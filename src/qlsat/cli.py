@@ -247,6 +247,8 @@ def _check_args(args: argparse.Namespace) -> None:
             raise _UsageError("--n is required")
         if args.m is None and args.ensemble != "max-constrained-1sat":
             raise _UsageError("--m is required for this ensemble")
+        if args.m not in (None, args.n) and args.ensemble == "max-constrained-1sat":
+            raise _UsageError(f"--m must be --n ({args.n}) for max-constrained-1sat, got {args.m}")
         alpha = getattr(args, "alpha", None)  # generate has no --alpha
         if alpha is not None and alpha > args.n:  # files and sweeps vary n
             raise _UsageError(f"--alpha must be --n ({args.n}) or less, got {alpha}")

@@ -22,6 +22,7 @@ reports the best j, preferring smaller j on ties.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -30,8 +31,8 @@ from typing import TypeVar
 import numpy as np
 
 from . import mixer as mixer_mod
-from .phases import PolicySpec, policy_table, resolve_policy, sign_tables
-from .sat import DEFAULT_FULL_LIMIT, TABLE_PIECE, SatProblem, check_full_capacity, conflict_vector
+from .phases import PolicySpec, policy_table, resolve_policy, sign_blocks
+from .sat import DEFAULT_FULL_LIMIT, TABLE_PIECE, SatProblem, conflict_vector
 
 _Signs = TypeVar("_Signs")  # what ``evolve`` hands each step, as its engine needs it
 
@@ -56,13 +57,6 @@ class RunResult:
     @property
     def steps(self) -> int:
         return len(self.p_soln_by_step) - 1
-
-
-def init_uniform(n: int, limit: int | None = DEFAULT_FULL_LIMIT) -> np.ndarray:
-    """Uniform superposition, every amplitude 1/sqrt(2**n)."""
-    check_full_capacity(n, limit)
-    size = 1 << n
-    return np.full(size, 1.0 / math.sqrt(size))
 
 
 def solution_readout(conflicts: np.ndarray) -> Callable[[np.ndarray], float]:
@@ -122,9 +116,9 @@ def evolve(
     """The trial loop both engines run: per step j, x = step(x, signs_j).
 
     ``x`` is the start state.  ``signs`` yields, for each step, the sign of
-    every count value (``phases.sign_tables``; the compact engine adds the
-    rows of the step's smaller sign set), and ``step`` multiplies the
-    state by the signs of its entries' counts and mixes it.  A step may
+    every count value (a row of ``phases.sign_blocks``; the compact engine
+    adds the rows of the step's smaller sign set), and ``step`` multiplies
+    the state by the signs of its entries' counts and mixes it.  A step may
     work in place, so a readout that keeps the state must copy it.  The
     readouts are taken after every step and once before the first; the
     histogram readout is recorded only when given.
@@ -170,14 +164,14 @@ def run_trial(
     if record_histograms:
         histogram_of = functools.partial(conflict_histogram, conflicts=conflicts, m=problem.m)
     # the conflict table lives on only where a readout or the policy reads
-    # it, and the start state goes straight into the call: a local holding
-    # either keeps one more 2**n table alive for the whole trial.  evolve
-    # owns the state, so its signs are flipped and it is mixed in place
+    # it, and the uniform start state goes straight into the call: a local
+    # holding either keeps one more 2**n table alive for the whole trial.
+    # evolve owns the state, so its signs are flipped and it is mixed in place
     del conflicts
     return evolve(
         "full",
-        init_uniform(problem.n, limit),
-        sign_tables(resolved, problem.n, problem.m),
+        np.full(1 << problem.n, 1.0 / math.sqrt(1 << problem.n)),
+        itertools.chain.from_iterable(sign_blocks(resolved, problem.n, problem.m)),
         lambda x, signs: mixer_mod.apply_u(spec, x, inplace=True, signs=signs, table=table),
         p_soln_of,
         histogram_of=histogram_of,

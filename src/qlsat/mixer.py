@@ -212,18 +212,16 @@ def _work_vector(x: np.ndarray, inplace: bool) -> np.ndarray:
     return a if inplace and a.flags.c_contiguous else a.copy()
 
 
-def fwht(x: np.ndarray, inplace: bool = False) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform, radix-16 matmul passes.
+def fwht(x: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a copy of x, radix-16 matmul passes.
 
     Pass p multiplies the ``(-1, 16, 2**(4p))`` view by the 16x16
     Sylvester Hadamard; the last pass takes the n mod 4 bits left over.
     The passes are planned once per n: one matmul each up to CHUNK entries,
     one per block of about CHUNK above.  Satisfies fwht(fwht(x)) == len(x) * x
-    up to rounding.  O(n * 2**n) time; the only extra memory is one block.
-    ``inplace`` transforms x itself when it is a contiguous float64 array,
-    else a copy.
+    up to rounding.  O(n * 2**n) time; the extra memory is the copy and one block.
     """
-    return _transform(_work_vector(x, inplace))
+    return _transform(_work_vector(x, False))
 
 
 def apply_u(
@@ -236,10 +234,10 @@ def apply_u(
     exact, so its place in the product does not change the result.  The
     multiply goes a piece at a time, each piece by the row of its high
     bits' weight, so no 2**n weight table is made.  Given ``signs`` and
-    ``table``, which go together, it is U @ (signs[table] * x).  ``inplace``
-    works as in ``fwht``: x itself is transformed and returned when it is a
-    contiguous float64 array, so no second state vector is made; by default
-    x is left as it was.
+    ``table``, which go together, it is U @ (signs[table] * x).  With
+    ``inplace``, x itself is transformed and returned when it is a
+    contiguous float64 array, so no second state vector is made, and a
+    copy of any other x; by default x is left as it was.
     """
     if (signs is None) != (table is None):
         raise ValueError("signs and table must be given together")
@@ -249,11 +247,11 @@ def apply_u(
     return _transform(y, weights=spec.tau_rows)
 
 
-def dense_u(spec: MixerSpec, limit: int | None = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-    """Dense mixing matrix U[r,s] = u_{|r ^ s|}.  Oracle use only."""
-    if limit is not None and spec.n > limit:
+def dense_u(spec: MixerSpec) -> np.ndarray:
+    """Dense mixing matrix U[r,s] = u_{|r ^ s|}.  Oracle use only, n <= DEFAULT_DENSE_LIMIT."""
+    if spec.n > DEFAULT_DENSE_LIMIT:
         raise CapacityError(
-            f"dense matrix needs 4**{spec.n} entries; limit is n <= {limit}"
+            f"dense matrix needs 4**{spec.n} entries; limit is n <= {DEFAULT_DENSE_LIMIT}"
         )
     idx = np.arange(1 << spec.n)
     dist = popcounts(spec.n)[idx[:, None] ^ idx[None, :]]

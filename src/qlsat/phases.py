@@ -40,13 +40,7 @@ from math import floor
 
 import numpy as np
 
-from .sat import (
-    DEFAULT_FULL_LIMIT,
-    TABLE_PIECE,
-    SatProblem,
-    conflict_vector,
-    n_better_vector,
-)
+from .sat import TABLE_PIECE, SatProblem, conflict_vector, n_better_vector
 
 KIND_SIMPLE = "simple-threshold"
 KIND_NEIGHBORHOOD = "neighborhood"
@@ -118,12 +112,14 @@ def policy_table(policy: ResolvedPolicy, conflicts: np.ndarray) -> np.ndarray:
 def sign_blocks(policy: ResolvedPolicy, n: int, m: int) -> Iterator[np.ndarray]:
     """Yield the sign tables of steps 1..max_steps, a block of steps at a time.
 
-    Row i of a block is the table of one step (see ``sign_tables``), the
-    rows of a block are consecutive steps, and a block holds at most
-    TABLE_PIECE entries (one step when a step is wider).  The rules are
-    those of the module docstring, evaluated in int64 for every row of the
-    block at once.  For integer v the simple threshold v > c_start - (j - 1)
-    is the same as v > floor(c_start) - (j - 1).
+    Entry v of step j's table is the sign of an assignment whose count
+    (conflicts, 0..m, or better neighbors, 0..n) is v; indexing it by
+    ``policy_table`` gives that step's phase vector.  Row i of a block is
+    the table of one step, the rows of a block are consecutive steps, and
+    a block holds at most TABLE_PIECE entries (one step when a step is
+    wider).  The rules are those of the module docstring, evaluated in
+    int64 for every row of the block at once.  For integer v the simple
+    threshold v > c_start - (j - 1) is the same as v > floor(c_start) - (j - 1).
     """
     steps = policy.max_steps
     values = np.arange((m if policy.kind == KIND_SIMPLE else n) + 1, dtype=np.int64)
@@ -148,25 +144,8 @@ def sign_blocks(policy: ResolvedPolicy, n: int, m: int) -> Iterator[np.ndarray]:
         yield np.where(invert, -1.0, 1.0)
 
 
-def sign_tables(policy: ResolvedPolicy, n: int, m: int) -> Iterator[np.ndarray]:
-    """Yield, for steps 1..max_steps, the sign of every count value.
-
-    Entry v of step j's table is the sign of an assignment whose count
-    (conflicts, 0..m, or better neighbors, 0..n) is v; indexing it by
-    ``policy_table`` gives that step's phase vector.  The yielded rows are
-    views of the blocks of ``sign_blocks``.
-    """
-    for block in sign_blocks(policy, n, m):
-        yield from block
-
-
-def phase_schedule(
-    problem: SatProblem,
-    spec: PolicySpec,
-    j_max: int | None = None,
-    limit: int | None = DEFAULT_FULL_LIMIT,
-) -> list[np.ndarray]:
-    """Phase vectors for steps 1..min(j_max, cap) over all 2**n assignments."""
-    policy = resolve_policy(spec, problem.n, problem.m, problem.k, j_max)
-    table = policy_table(policy, conflict_vector(problem, limit))
-    return [signs[table] for signs in sign_tables(policy, problem.n, problem.m)]
+def phase_schedule(problem: SatProblem, spec: PolicySpec) -> list[np.ndarray]:
+    """Phase vectors for every step of the policy's cap over all 2**n assignments."""
+    policy = resolve_policy(spec, problem.n, problem.m, problem.k)
+    table = policy_table(policy, conflict_vector(problem))
+    return [signs[table] for block in sign_blocks(policy, problem.n, problem.m) for signs in block]

@@ -205,6 +205,8 @@ def from_dimacs(text: str) -> SatProblem:
     pending: list[int] = []
     for raw in text.splitlines():
         line = raw.strip()
+        if line.startswith("%"):  # SATLIB's files end with "%", "0" and a blank line
+            break
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):

@@ -55,6 +55,7 @@ depends only on Hamming distance, so every solution probability and
 histogram survives the move, to rounding.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from math import comb
@@ -70,7 +71,7 @@ from qlsat.mixer import (
     popcounts,
     u_numerators,
 )
-from qlsat.phases import KIND_SIMPLE, PolicySpec, ResolvedPolicy, resolve_policy, sign_tables
+from qlsat.phases import KIND_SIMPLE, PolicySpec, ResolvedPolicy, resolve_policy, sign_blocks
 from qlsat.sat import (
     DEFAULT_FULL_LIMIT,
     CapacityError,
@@ -277,7 +278,7 @@ def plain_compact_run(
     return evolve(
         "compact",
         np.ldexp(*qlsat.compact._start_vector(m)),
-        sign_tables(resolved, n, m),
+        itertools.chain.from_iterable(sign_blocks(resolved, n, m)),
         lambda phi, signs: v @ (phi * signs[: m + 1]),
         lambda phi: float(phi[0] * phi[0]),
         histogram_of=np.square if record_histograms else None,
@@ -341,19 +342,15 @@ def _transform_pass(a: np.ndarray, done: int, bits: int) -> None:
             blk[...] = h @ blk
 
 
-def blocked_fwht(x: np.ndarray, inplace: bool = False) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform, radix-16 passes block by block.
+def blocked_fwht(x: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a copy of x, radix-16 passes block by block.
 
     Pass p multiplies the ``(-1, 16, 2**(4p))`` view by the 16x16
     Sylvester Hadamard; the last pass takes the n mod 4 bits left over.
-    ``inplace`` transforms x itself when it is a contiguous float64 array,
-    else a copy.
     """
-    a = np.asarray(x, dtype=np.float64)
+    a = np.array(x, dtype=np.float64)
     if a.ndim != 1 or a.size == 0 or a.size & (a.size - 1):
         raise ValueError("length must be a power of two")
-    if not (inplace and a.flags.c_contiguous):
-        a = a.copy()
     n = a.size.bit_length() - 1
     for done in range(0, n, RADIX_BITS):
         _transform_pass(a, done, min(RADIX_BITS, n - done))

@@ -23,7 +23,7 @@ import qlsat.mixer
 from qlsat.checks import run_checks
 from qlsat.cli import build_parser, main
 from qlsat.generate import ENSEMBLE_KINDS, EnsembleSpec, generate, instance_seed_sequence
-from qlsat.sat import from_dimacs
+from qlsat.sat import from_dimacs, to_dimacs
 
 from oracles import count_conflicts
 
@@ -394,6 +394,23 @@ def test_run_files_without_inline_flags_echo_one_trial(capsys, tmp_path):
     assert record["config"]["n"] is None and record["config"]["ensemble"] is None
 
 
+def test_run_reads_a_satlib_file(capsys, tmp_path):
+    # SATLIB's random 3-SAT files (uf20-91) have a two-space header, clause
+    # lines with a leading space, and end with "%", "0" and a blank line
+    problem = generate(EnsembleSpec(n=12, k=3, m=51, kind="random", seed=12)).problem
+    _, *clauses = to_dimacs(problem).splitlines()
+    satlib = tmp_path / "uf12-51.cnf"
+    lines = ["c", "p cnf 12  51 ", *(" " + clause for clause in clauses), "%", "0", ""]
+    satlib.write_text("\n".join(lines) + "\n")
+    plain = tmp_path / "plain.cnf"
+    plain.write_text(to_dimacs(problem))
+    code, out, err = run_cli(capsys, "run", str(satlib), str(plain))
+    assert code == 0 and err == ""
+    got, want = jsonl(out)
+    assert "error" not in got and got["instance"]["m"] == 51
+    assert got["result"] == want["result"]
+
+
 def test_generate_wide_planted_instance(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
@@ -508,6 +525,11 @@ def test_run_histograms_flag(capsys):
         ["sweep", "--axis", "n", "--values", "6", "--m", "10"],  # full engine, no ensemble
         ["run", "x", "--engine", "compact"],  # the compact engine draws its instances
         ["run", "--ensemble", "random", "--m", "10"],  # an inline batch without --n
+        # max-constrained-1sat has one clause per variable
+        ["run", "--engine", "compact", "--n", "4", "--m", "2"],
+        ["run", "--ensemble", "max-constrained-1sat", "--n", "4", "--m", "2"],
+        ["generate", "--out-dir", "x", "--ensemble", "max-constrained-1sat", "--n", "4",
+         "--m", "2"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys, tmp_path):
@@ -523,6 +545,9 @@ _BAD_NUMBER_BATCHES = {
     "sweep": ["sweep", "--axis", "n", "--values", "6", "--ensemble", "random"],
     "m-over-n": ["sweep", "--axis", "m-over-n", "--n", "6", "--ensemble", "random"],
     "compact": ["run", "--engine", "compact", "--n", "8"],
+    "max-constrained": ["run", "--ensemble", "max-constrained-1sat", "--n", "4"],
+    "generate-max-constrained": ["generate", "--out-dir", "x", "--ensemble",
+                                 "max-constrained-1sat", "--n", "4"],
     "verify": ["verify"],
 }
 
@@ -552,6 +577,10 @@ _BAD_NUMBER_BATCHES = {
         ("--alpha", "verify", ["--alpha", "3"]),
         ("--alpha", "verify", ["--alpha", "-1"]),
         ("--dense-limit", "verify", ["--dense-limit", "-1"]),
+        # max-constrained-1sat has one clause per variable, so m = n
+        ("--m", "compact", ["--m", "2"]),
+        ("--m", "max-constrained", ["--m", "2"]),
+        ("--m", "generate-max-constrained", ["--m", "2"]),
     ],
 )
 def test_a_bad_number_is_refused_by_its_flag_name(flag, batch, flags, capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Full-state evolution: worked examples, norm drift, best-step selection."""
 
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -14,7 +15,6 @@ from qlsat.engine import (
     RunResult,
     conflict_histogram,
     evolve,
-    init_uniform,
     run_trial,
     select_best,
     solution_readout,
@@ -28,9 +28,19 @@ from qlsat.phases import (
     phase_schedule,
     policy_table,
     resolve_policy,
-    sign_tables,
+    sign_blocks,
 )
 from qlsat.sat import TABLE_PIECE, CapacityError, SatProblem, clause_from_literals, conflict_vector
+
+
+def uniform(n: int) -> np.ndarray:
+    """The start state, formed as run_trial forms it: every amplitude 1/sqrt(2**n)."""
+    return np.full(1 << n, 1.0 / math.sqrt(1 << n))
+
+
+def step_signs(policy, n: int, m: int):
+    """The sign table of each step in turn, as run_trial hands them to evolve."""
+    return itertools.chain.from_iterable(sign_blocks(policy, n, m))
 
 
 def two_negated_units() -> SatProblem:
@@ -67,7 +77,7 @@ def test_step_matches_dense_operator():
     schedule = phase_schedule(problem, PolicySpec(KIND_SIMPLE))
     result = evolve(
         "full",
-        init_uniform(4),
+        uniform(4),
         schedule,
         lambda x, signs: apply_u(spec, signs * x),
         lambda x: 0.0,
@@ -112,7 +122,7 @@ def test_insoluble_instance_reports_no_best_step():
 def test_conflict_histogram_totals():
     problem = generate(EnsembleSpec(n=5, k=3, m=10, kind="random", seed=3)).problem
     conflicts = conflict_vector(problem)
-    x = init_uniform(5)
+    x = uniform(5)
     hist = conflict_histogram(x, conflicts, problem.m)
     assert hist.shape == (problem.m + 1,)
     assert hist.sum() == pytest.approx(1.0, abs=1e-12)
@@ -218,8 +228,8 @@ def test_alpha_sets_the_mixer_at_the_problem_size():
         mixer = MixerSpec(n, alpha)
         want = evolve(
             "full",
-            init_uniform(n),
-            sign_tables(policy, n, problem.m),
+            uniform(n),
+            step_signs(policy, n, problem.m),
             lambda x, signs: apply_u(mixer, x * signs[conflicts]),
             solution_readout(conflicts),
         )
@@ -267,11 +277,13 @@ def test_more_than_2_63_steps_are_refused_before_the_conflict_table(spec, monkey
 
 
 def test_capacity_guard():
+    policy = PolicySpec(KIND_SIMPLE)
     with pytest.raises(CapacityError):
-        init_uniform(30)
+        run_trial(SatProblem(n=30, k=1, clauses=(clause_from_literals([-1]),)), policy)
+    problem = generate(EnsembleSpec(n=14, k=3, m=56, kind="random", seed=14)).problem
     with pytest.raises(CapacityError):
-        init_uniform(14, limit=12)
-    assert init_uniform(14, limit=None).size == 1 << 14
+        run_trial(problem, policy, limit=12)
+    assert run_trial(problem, policy, j_max=1, limit=None).steps == 1
 
 
 def test_run_result_steps_property():
@@ -331,8 +343,8 @@ def test_signs_applied_piece_by_piece_equal_one_whole_vector_gather(kind, n):
     mixer = MixerSpec(n)
     whole = evolve(
         "full",
-        init_uniform(n),
-        sign_tables(policy, n, problem.m),
+        uniform(n),
+        step_signs(policy, n, problem.m),
         lambda x, signs: apply_u(mixer, x * signs[table], inplace=True),
         solution_readout(conflicts),
     )

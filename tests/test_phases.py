@@ -1,5 +1,6 @@
 """Phase policies: exact thresholds, neighbor-count rules, step caps."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,6 @@ from qlsat.phases import (
     phase_schedule,
     resolve_policy,
     sign_blocks,
-    sign_tables,
 )
 from qlsat.sat import (
     ConflictPattern,
@@ -50,16 +50,21 @@ def test_policy_spec_refuses_the_start_of_the_other_policy():
         PolicySpec(KIND_SIMPLE, n_start=2)
 
 
+def sign_rows(policy, n, m):
+    """The sign table of each step 1..max_steps: the rows of every sign block."""
+    return list(itertools.chain.from_iterable(sign_blocks(policy, n, m)))
+
+
 def simple_tables(c_start, m):
     """Sign tables over 0..m conflicts of the simple threshold from c_start."""
     policy = resolve_policy(PolicySpec(KIND_SIMPLE, c_start=c_start), n=m, m=m, k=1)
-    return list(sign_tables(policy, n=m, m=m))
+    return sign_rows(policy, n=m, m=m)
 
 
 def neighborhood_tables(n_start, n):
     """Sign tables over 0..n better neighbors of the neighborhood rule."""
     policy = resolve_policy(PolicySpec(KIND_NEIGHBORHOOD, n_start=n_start), n=n, m=n, k=1)
-    return list(sign_tables(policy, n=n, m=n))
+    return sign_rows(policy, n=n, m=n)
 
 
 def test_simple_threshold_fractional_boundary():
@@ -173,10 +178,10 @@ def test_sign_tables_span_the_count_range_of_the_policy():
     # signs by better neighbors (0..n); j_max truncates the cap of 3 steps
     simple = ResolvedPolicy(KIND_SIMPLE, 3, c_start=Fraction(2))
     nbr = resolve_policy(PolicySpec(KIND_NEIGHBORHOOD, n_start=2), n=3, m=5, k=3, j_max=2)
-    tables = list(sign_tables(simple, n=3, m=5))
+    tables = sign_rows(simple, n=3, m=5)
     assert [len(t) for t in tables] == [6, 6, 6]
     np.testing.assert_array_equal(tables[0], [1, 1, 1, -1, -1, -1])
-    tables = list(sign_tables(nbr, n=3, m=5))
+    tables = sign_rows(nbr, n=3, m=5)
     assert [len(t) for t in tables] == [4, 4]
     # step 2 keeps n_start - v in {1, 0}, so v in {1, 2}
     np.testing.assert_array_equal(tables[1], [-1, 1, 1, -1])
@@ -223,7 +228,7 @@ SIMPLE, NEIGHBORHOOD = PolicySpec(KIND_SIMPLE), PolicySpec(KIND_NEIGHBORHOOD)
 )
 def test_block_sign_tables_equal_the_step_by_step_rule(spec, n, m, k, j_max):
     policy = resolve_policy(spec, n=n, m=m, k=k, j_max=j_max)
-    got = list(sign_tables(policy, n, m))
+    got = sign_rows(policy, n, m)
     want = step_sign_tables(policy, n, m)
     assert len(got) == len(want)
     for step, (a, b) in enumerate(zip(got, want), start=1):
@@ -242,8 +247,8 @@ def test_phase_schedule_length_and_truncation():
     # c_start = 2 / 2 = 1, so the cap is 2 steps
     full = phase_schedule(problem, spec)
     assert len(full) == 2
-    assert len(phase_schedule(problem, spec, j_max=1)) == 1
-    assert len(phase_schedule(problem, spec, j_max=10)) == 2
+    assert run_trial(problem, spec, j_max=1).steps == 1
+    assert run_trial(problem, spec, j_max=10).steps == 2
 
 
 def test_phase_schedule_matches_conflict_counts():

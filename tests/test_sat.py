@@ -213,6 +213,24 @@ def test_dimacs_accepts_comments_and_multiline_clauses():
     assert problem.n == 3 and problem.m == 2 and problem.k == 2
 
 
+def satlib_text(problem: SatProblem) -> str:
+    """The problem laid out as SATLIB's random 3-SAT files (uf20-91) are: a
+    two-space header, clause lines with a leading space, and a trailer of
+    "%", "0" and a blank line."""
+    lines = ["c This Formular is generated by mcnf", "c", "c    horn? no ",
+             f"p cnf {problem.n}  {problem.m} "]
+    lines += [" " + " ".join(map(str, clause_to_literals(c))) + " 0" for c in problem.clauses]
+    return "\n".join(lines) + "\n%\n0\n\n"
+
+
+def test_dimacs_stops_at_the_satlib_trailer():
+    problem = random_problem(20, 3, 91, seed=20)
+    text = satlib_text(problem)
+    assert "\np cnf 20  91 \n " in text and text.endswith("\n%\n0\n\n")
+    body = text[: text.index("%")]
+    assert from_dimacs(text) == from_dimacs(body) == problem
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -123,3 +123,6 @@ qlsat generate --out-dir pin --ensemble prespecified-solution --n 9 --k 2 --m 20
 qlsat run --ensemble random --n 8 --k 1 --m 16 --trials 2 --seed 5 --histograms
 # 37: random clause masks past 64 bits
 qlsat generate --out-dir wide2 --ensemble random --n 66 --k 2 --m 50 --trials 2 --seed 3
+# 38: a dense limit above the largest dense matrix, refused before any
+# check: exits 3
+qlsat verify --dense-limit 13

@@ -33,8 +33,8 @@ instead, one child per policy.  Each prints the median time, over
 COMPACT_REPEATS calls after one warm-up, of each layer of the run: the
 start vector, the shell transform (which builds its own start vector),
 the V product (the build of V from a ready transform), all the sign
-tables, the steps (the whole of ``compact_run`` with ``build_v_scaled``
-handing it a copy of a ready V, so its sign tables, steps and readouts,
+blocks, the steps (the whole of ``compact_run`` with ``build_v_scaled``
+handing it a copy of a ready V, so its sign blocks, steps and readouts,
 and that copy), and the whole run.  The transform and the run each start
 with the start-vector cache emptied, as for an m not seen last.
 
@@ -45,6 +45,7 @@ DIR/src) instead of this one, so two checkouts can be compared.
 from __future__ import annotations
 
 import argparse
+import math
 import multiprocessing
 import os
 import resource
@@ -64,10 +65,11 @@ COMPACT_REPEATS = 25  # compact layers take milliseconds, so take more samples
 
 def profile(n: int, src: str, kind: str, clauses: bool) -> None:
     sys.path.insert(0, str(Path(src).resolve() / "src"))
+    import numpy as np
     from qlsat import EnsembleSpec, PolicySpec, SatProblem, generate, run_trial
     from qlsat import engine, mixer
     from qlsat.mixer import MixerSpec, apply_u
-    from qlsat.phases import policy_table, resolve_policy, sign_tables
+    from qlsat.phases import policy_table, resolve_policy, sign_blocks
     from qlsat.sat import conflict_vector, n_better_vector
 
     if clauses:
@@ -108,8 +110,8 @@ def profile(n: int, src: str, kind: str, clauses: bool) -> None:
     resolved = resolve_policy(policy, n, problem.m, problem.k)
     conflicts = conflict_vector(problem)
     table = policy_table(resolved, conflicts)
-    signs = next(sign_tables(resolved, n, problem.m))
-    spec, x = MixerSpec(n), engine.init_uniform(n)
+    signs = next(sign_blocks(resolved, n, problem.m))[0]
+    spec, x = MixerSpec(n), np.full(1 << n, 1.0 / math.sqrt(1 << n))
     p_soln_of = engine.solution_readout(conflicts)
 
     def step():
@@ -146,13 +148,13 @@ def profile(n: int, src: str, kind: str, clauses: bool) -> None:
 def profile_compact(n: int, src: str, kind: str) -> None:
     sys.path.insert(0, str(Path(src).resolve() / "src"))
     from qlsat import PolicySpec, compact
-    from qlsat.phases import resolve_policy, sign_tables
+    from qlsat.phases import resolve_policy, sign_blocks
 
     policy = PolicySpec(kind)
     resolved = resolve_policy(policy, n, n, 1)
     t = compact._scaled_shell_transform(n)
     v = compact.build_v_scaled(n)
-    steps_run = sum(1 for _ in sign_tables(resolved, n, n))
+    steps_run = resolved.max_steps
 
     def v_product():
         # build_v_scaled on the ready transform: only its own work is timed
@@ -181,7 +183,7 @@ def profile_compact(n: int, src: str, kind: str) -> None:
             ("start vector", lambda: compact._start_vector.__wrapped__(n)),
             ("shell transform", lambda: forget() or compact._scaled_shell_transform(n)),
             ("V product", v_product),
-            ("sign tables", lambda: sum(1 for _ in sign_tables(resolved, n, n))),
+            ("sign blocks", lambda: sum(len(block) for block in sign_blocks(resolved, n, n))),
             ("steps", steps),
             ("run", lambda: forget() or compact.compact_run(n, policy)),
         )
